@@ -33,7 +33,6 @@ from .solver import (
     build_continuous_analog_spec,
     greedy_policy,
     marginal_values,
-    solve_living_donor,
     solve_value_iteration,
 )
 from .structure import (

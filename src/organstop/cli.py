@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ctime, docio, simulate, structure
 from .ctime import FixedInstants, StiffnessError
-from .model import ModelValidationError, Policy, Variant
+from .model import ModelValidationError, Policy
 from .solver import SolveOptions, solve_value_iteration
 from .svgplot import render_curve_svg, render_region_svg
 
@@ -105,10 +105,6 @@ def cmd_analyze(args) -> int:
         doc = docio.parse_document(raw)
         _, policy = _solve_from_args(doc, args)
         spec = doc.spec
-    if spec.variant in (Variant.LIVING_DONOR, Variant.DIALYSIS):
-        print(f"error: structure analysis needs a 2-D policy, got "
-              f"{spec.variant.value}", file=sys.stderr)
-        return EXIT_VALIDATION
     report = structure.analyze_policy(spec, policy)
     docio.dump_document(
         docio.structure_results_document(spec, policy, report), args.output)
@@ -128,12 +124,9 @@ def cmd_simulate(args) -> int:
 
 
 def _initial_value(spec, vf):
+    """Offer-averaged value of the first live state, in regime 0."""
     start = 0 if spec.death_index != 0 else 1
-    if spec.variant is Variant.LIVING_DONOR:
-        return vf.values[start]
-    if spec.variant is Variant.DIALYSIS:
-        return vf.marginal[0, start]
-    return vf.marginal[start]
+    return np.reshape(vf.marginal, (-1, spec.n_patient))[0, start]
 
 
 def cmd_continuous(args) -> int:

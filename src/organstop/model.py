@@ -8,6 +8,7 @@ validation seals the arrays read-only.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
@@ -42,8 +43,100 @@ class Action(IntEnum):
     NONE = 5                # no-op assigned to death cells
 
 
-#: actions that terminate the decision process
-TERMINAL_ACTIONS = frozenset({Action.TRANSPLANT, Action.TRANSPLANT_LIVING})
+@dataclass(frozen=True)
+class WaitAction:
+    """A non-terminal action.  With a ``regime`` it earns
+    ``wait_reward[regime]``, moves the patient by ``transition[regime]`` and
+    leads to that regime; without one, those arrays have no regime axis and
+    the patient stays in regime 0.
+    """
+
+    action: Action
+    regime: int | None = None
+
+    def arrays(self, spec: DiscreteModelSpec) -> tuple[np.ndarray, np.ndarray]:
+        """(wait reward per patient state, transition matrix)."""
+        if self.regime is None:
+            return spec.wait_reward, spec.transition
+        return spec.wait_reward[self.regime], spec.transition[self.regime]
+
+
+@dataclass(frozen=True)
+class TerminalCandidate:
+    """A stopping action and its reward, broadcastable to (H, K)."""
+
+    action: Action
+    offered_only: bool      # illegal in the no-offer column
+    reward: Callable[[DiscreteModelSpec], np.ndarray]
+
+
+OFFERED_ORGAN = TerminalCandidate(
+    Action.TRANSPLANT, True, lambda spec: spec.transplant_reward)
+LIVING_DONOR_ORGAN = TerminalCandidate(
+    Action.TRANSPLANT_LIVING, False,
+    lambda spec: spec.living_donor_reward()[:, None])
+# the analog's epoch reward accrues on the transplant epoch too, and a
+# successful transplant pays one (discounted) epoch later
+ANALOG_ORGAN = TerminalCandidate(
+    Action.TRANSPLANT, True,
+    lambda spec: spec.wait_reward[:, None]
+    + spec.discount * spec.transplant_reward)
+
+
+@dataclass(frozen=True)
+class VariantRule:
+    """One variant as a stopping problem.
+
+    In regime g, V(g, h, k) is the best of the terminal rewards legal at
+    (h, k) and the continuation values of regime g's wait actions.  A wait
+    action's continuation is w[h] + beta * sum_h' P[h, h'] vbar(g', h'),
+    with (w, P) its arrays, g' its next regime and vbar the value averaged
+    over the offer distribution (the value itself without an organ axis).
+    Exact ties go to the earliest action in regime waits + terminals under
+    PREFER_WAIT, and in terminals + regime waits under PREFER_TRANSPLANT.
+    """
+
+    regimes: tuple[tuple[WaitAction, ...], ...]
+    terminals: tuple[TerminalCandidate, ...]
+    organ_axis: bool = True
+
+    def grid(self, spec: DiscreteModelSpec) -> tuple[int, int, int]:
+        """(regimes, patient states, offer columns): values as a 3-D array."""
+        return (len(self.regimes), spec.n_patient,
+                spec.n_organ if self.organ_axis else 1)
+
+    def value_shape(self, spec: DiscreteModelSpec) -> tuple[int, ...]:
+        """Shape of value and policy arrays: (H,), (H, K) or (2, H, K)."""
+        n_regimes, n_patient, n_columns = self.grid(spec)
+        return ((n_regimes,) * (n_regimes > 1) + (n_patient,)
+                + (n_columns,) * self.organ_axis)
+
+    def legal(self, spec: DiscreteModelSpec, regime: int,
+              column: int) -> tuple[Action, ...]:
+        """Legal actions at a live cell, in prefer-wait order."""
+        offered = not self.organ_axis or column != spec.no_offer_index
+        return tuple(a.action for a in self.regimes[regime]) + tuple(
+            t.action for t in self.terminals if offered or not t.offered_only)
+
+    def terminal_rewards(self, spec: DiscreteModelSpec) -> dict[Action, np.ndarray]:
+        return {t.action: t.reward(spec) for t in self.terminals}
+
+
+_WAIT_ONLY = ((WaitAction(Action.WAIT),),)
+_ON_DIALYSIS = WaitAction(Action.DIALYSIS, DIALYSIS_REGIME)
+
+VARIANT_RULES = {
+    Variant.BASE: VariantRule(_WAIT_ONLY, (OFFERED_ORGAN,)),
+    Variant.LIVING_DONOR: VariantRule(_WAIT_ONLY, (LIVING_DONOR_ORGAN,),
+                                      organ_axis=False),
+    Variant.COMBINED: VariantRule(_WAIT_ONLY, (OFFERED_ORGAN, LIVING_DONOR_ORGAN)),
+    # switching to dialysis is irreversible
+    Variant.DIALYSIS: VariantRule(
+        ((WaitAction(Action.MEDICATION, MEDICATION_REGIME), _ON_DIALYSIS),
+         (_ON_DIALYSIS,)),
+        (OFFERED_ORGAN,)),
+    Variant.CONTINUOUS_ANALOG: VariantRule(_WAIT_ONLY, (ANALOG_ORGAN,)),
+}
 
 
 class ModelValidationError(ValueError):
@@ -94,16 +187,6 @@ class DiscreteModelSpec:
     def offered_organs(self) -> np.ndarray:
         return np.array([k for k in range(self.n_organ) if k != self.no_offer_index])
 
-    def transition_for(self, regime: int | None = None) -> np.ndarray:
-        if self.variant is Variant.DIALYSIS:
-            return self.transition[regime]
-        return self.transition
-
-    def wait_reward_for(self, regime: int | None = None) -> np.ndarray:
-        if self.variant is Variant.DIALYSIS:
-            return self.wait_reward[regime]
-        return self.wait_reward
-
     def living_donor_reward(self) -> np.ndarray:
         return self.transplant_reward[:, self.living_donor_state]
 
@@ -136,7 +219,11 @@ class Policy:
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Value per state with its Bellman-residual certificate."""
+    """Value per state with its Bellman-residual certificate.
+
+    Every solver reports the same ``residual``: max |T(V) - V| over all
+    states, where V is ``values`` and T is the operator the solver iterates.
+    """
 
     values: np.ndarray
     marginal: np.ndarray | None
@@ -156,6 +243,17 @@ def _check_stochastic_rows(matrix, name, errors, axis_name="patient state"):
             errors.append(f"{name}: entry {row[j]:.12g} outside [0,1] at ({i},{j})")
 
 
+def non_finite_errors(name: str, values) -> list[str]:
+    """A message naming ``name`` and its first NaN or infinite entry, if any."""
+    arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    if finite.all():
+        return []
+    index = tuple(int(i) for i in np.argwhere(~finite)[0])
+    where = f" at {index[0] if len(index) == 1 else index}" if index else ""
+    return [f"{name}: non-finite entry {arr[index]}{where}"]
+
+
 def validation_errors(spec: DiscreteModelSpec) -> list[str]:
     """Check every spec invariant, returning one message per violation."""
     errors: list[str] = []
@@ -167,6 +265,12 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
         return errors
     if not (0 <= nooff < K):
         errors.append(f"no_offer_index {nooff} outside [0,{K})")
+        return errors
+    for name in ("transition", "offer_prob", "wait_reward", "transplant_reward",
+                 "success_prob", "success_reward"):
+        if getattr(spec, name) is not None:
+            errors += non_finite_errors(name, getattr(spec, name))
+    if errors:
         return errors
 
     trans = np.asarray(spec.transition, dtype=float)
@@ -367,13 +471,6 @@ def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
         spec.n_organ, spec.no_offer_index,
         spec.organ_orientation is Orientation.LARGER_IS_BETTER)
 
-    if spec.variant is Variant.DIALYSIS:
-        transition = spec.transition[:, perm_h[:, None], perm_h[None, :]]
-        wait = spec.wait_reward[:, perm_h]
-    else:
-        transition = spec.transition[perm_h[:, None], perm_h[None, :]]
-        wait = spec.wait_reward[perm_h]
-
     inv_k = np.argsort(perm_k)
     new = replace(
         spec,
@@ -381,9 +478,9 @@ def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
         no_offer_index=spec.n_organ - 1,
         patient_orientation=Orientation.LARGER_IS_WORSE,
         organ_orientation=Orientation.LARGER_IS_WORSE,
-        transition=transition,
+        transition=spec.transition[..., perm_h[:, None], perm_h[None, :]],
         offer_prob=spec.offer_prob[perm_h[:, None], perm_k[None, :]],
-        wait_reward=wait,
+        wait_reward=spec.wait_reward[..., perm_h],
         transplant_reward=spec.transplant_reward[perm_h[:, None], perm_k[None, :]],
         living_donor_state=(None if spec.living_donor_state is None
                             else int(inv_k[spec.living_donor_state])),
@@ -393,63 +490,16 @@ def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
     return validate_model(new)
 
 
-def canonical_permutations(spec: DiscreteModelSpec):
-    """(perm_h, perm_k) with perm[new_index] = old_index, as canonicalize uses."""
-    perm_h = _axis_permutation(
-        spec.n_patient, spec.death_index,
-        spec.patient_orientation is Orientation.LARGER_IS_BETTER)
-    perm_k = _axis_permutation(
-        spec.n_organ, spec.no_offer_index,
-        spec.organ_orientation is Orientation.LARGER_IS_BETTER)
-    return perm_h, perm_k
-
-
 def legal_actions(spec: DiscreteModelSpec, cell) -> tuple[Action, ...]:
-    """Legal actions at a live cell.
+    """Legal actions at a cell, in prefer-wait order.
 
     Cells are (h, k) for the 2-D variants, (h,) for the living-donor chain
     and (h, regime, k) for dialysis.  Death cells get the no-op only.
     """
-    if spec.variant is Variant.LIVING_DONOR:
-        (h,) = cell
-        if h == spec.death_index:
-            return (Action.NONE,)
-        return (Action.WAIT, Action.TRANSPLANT_LIVING)
-    if spec.variant is Variant.DIALYSIS:
-        h, regime, k = cell
-        if h == spec.death_index:
-            return (Action.NONE,)
-        acts = [Action.MEDICATION, Action.DIALYSIS] if regime == MEDICATION_REGIME \
-            else [Action.DIALYSIS]
-        if k != spec.no_offer_index:
-            acts.append(Action.TRANSPLANT)
-        return tuple(acts)
-    h, k = cell
-    if h == spec.death_index:
+    if cell[0] == spec.death_index:
         return (Action.NONE,)
-    acts = [Action.WAIT]
-    if k != spec.no_offer_index:
-        acts.append(Action.TRANSPLANT)
-    if spec.variant is Variant.COMBINED:
-        acts.append(Action.TRANSPLANT_LIVING)
-    return tuple(acts)
-
-
-def policy_cells(spec: DiscreteModelSpec):
-    """All cells of a policy array for the given variant, as index tuples."""
-    if spec.variant is Variant.LIVING_DONOR:
-        return [(h,) for h in range(spec.n_patient)]
-    if spec.variant is Variant.DIALYSIS:
-        return [(h, g, k) for g in (MEDICATION_REGIME, DIALYSIS_REGIME)
-                for h in range(spec.n_patient) for k in range(spec.n_organ)]
-    return [(h, k) for h in range(spec.n_patient) for k in range(spec.n_organ)]
-
-
-def _policy_index(cell, variant):
-    if variant is Variant.DIALYSIS:
-        h, g, k = cell
-        return (g, h, k)
-    return cell
+    rule = VARIANT_RULES[spec.variant]
+    return rule.legal(spec, cell[1] if len(rule.regimes) > 1 else 0, cell[-1])
 
 
 def validate_policy(spec: DiscreteModelSpec, policy: Policy) -> Policy:
@@ -457,9 +507,15 @@ def validate_policy(spec: DiscreteModelSpec, policy: Policy) -> Policy:
     if policy.variant is not spec.variant:
         raise ModelValidationError([f"policy variant {policy.variant.value} != "
                                     f"spec variant {spec.variant.value}"])
-    for cell in policy_cells(spec):
-        a = Action(policy.actions[_policy_index(cell, spec.variant)])
-        if a not in legal_actions(spec, cell):
-            raise ModelValidationError(
-                [f"illegal action {a.name} at cell {cell}"])
+    rule = VARIANT_RULES[spec.variant]
+    actions = policy.actions.reshape(rule.grid(spec))
+    legal = np.empty(actions.shape, dtype=bool)
+    for g, k in np.ndindex(legal.shape[0], legal.shape[2]):
+        legal[g, :, k] = np.isin(actions[g, :, k], rule.legal(spec, g, k))
+    legal[:, spec.death_index] = actions[:, spec.death_index] == Action.NONE
+    if not legal.all():
+        g, h, k = (int(i) for i in np.argwhere(~legal)[0])
+        cell = (h,) + (g,) * (len(rule.regimes) > 1) + (k,) * rule.organ_axis
+        raise ModelValidationError(
+            [f"illegal action {Action(int(actions[g, h, k])).name} at cell {cell}"])
     return policy

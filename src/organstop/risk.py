@@ -8,7 +8,7 @@ recursion is undiscounted and convergence relies on death being reached.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,9 +19,11 @@ from .model import (
     Policy,
     ROW_SUM_TOL,
     ValueFunction,
+    Variant,
+    non_finite_errors,
     validate_model,
 )
-from .solver import SolveOptions, TieBreak, marginal_values
+from .solver import SolveOptions, _solve, marginal_values
 
 #: iterations without residual improvement before declaring divergence
 DIVERGENCE_WINDOW = 1000
@@ -39,9 +41,13 @@ class RiskSpec:
     lifetime_pmf: np.ndarray
 
     def __post_init__(self):
+        pmf = np.asarray(self.lifetime_pmf, dtype=float)
+        errors = (non_finite_errors("risk_coefficient", self.risk_coefficient)
+                  + non_finite_errors("lifetime_pmf", pmf))
+        if errors:
+            raise ModelValidationError(errors)
         if self.risk_coefficient <= 0:
             raise ModelValidationError(["risk_coefficient must be positive"])
-        pmf = np.asarray(self.lifetime_pmf, dtype=float)
         sums = pmf.sum(axis=-1)
         if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
             raise ModelValidationError(
@@ -92,21 +98,6 @@ def _transplant_ce(spec, risk):
     return exp_utility_inverse(eu, gamma)
 
 
-def _risk_backup(spec, risk, values, vt):
-    gamma = risk.risk_coefficient
-    u_next = exp_utility(1.0 + values, gamma)          # (H, K)
-    m = (spec.offer_prob * u_next).sum(axis=1)          # expected utility given h'
-    ew = spec.transition @ m
-    live = spec.live_patients()
-    saturated = bool((ew[live] >= 1.0 - 1e-16).any())
-    ew = np.clip(ew, 0.0, 1.0 - 1e-16)
-    w = exp_utility_inverse(ew, gamma)                  # wait CE per h
-    out = np.maximum(vt, w[:, None])
-    out[:, spec.no_offer_index] = w
-    out[spec.death_index, :] = 0.0
-    return out, w, saturated
-
-
 def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
                                    opts: SolveOptions = SolveOptions()
                                    ) -> tuple[ValueFunction, Policy]:
@@ -118,50 +109,26 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     """
     validate_model(spec)
     _check_2d(spec)
-    vt = _transplant_ce(spec, risk)
-    vt[spec.death_index, :] = 0.0
-
-    V = np.zeros((spec.n_patient, spec.n_organ))
-    best_residual = np.inf
-    since_improvement = 0
-    converged = False
-    iterations = 0
+    gamma = risk.risk_coefficient
     saturated = False
-    for iterations in range(1, opts.max_iterations + 1):
-        Vn, _, sat = _risk_backup(spec, risk, V, vt)
-        saturated = saturated or sat
-        delta = float(np.max(np.abs(Vn - V)))
-        V = Vn
-        if delta <= opts.tolerance:
-            converged = True
-            break
-        if delta < best_residual - 1e-15:
-            best_residual = delta
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= DIVERGENCE_WINDOW:
-                warnings.warn("risk-sensitive recursion is not contracting; "
-                              "returning the best iterate flagged non-converged")
-                break
+
+    def waits(V):
+        nonlocal saturated
+        u_next = exp_utility(1.0 + V, gamma)               # (H, K)
+        m = (spec.offer_prob * u_next).sum(axis=1)          # expected utility given h'
+        ew = spec.transition @ m
+        saturated = saturated or bool(
+            (ew[spec.live_patients()] >= 1.0 - 1e-16).any())
+        ew = np.clip(ew, 0.0, 1.0 - 1e-16)
+        return {Action.WAIT: exp_utility_inverse(ew, gamma)}
+
+    vf, policy = _solve(spec, waits, {Action.TRANSPLANT: _transplant_ce(spec, risk)},
+                        opts, stall_window=DIVERGENCE_WINDOW)
     if saturated:
         warnings.warn("wait-value expected utility saturated at 1; the "
                       "recursion likely diverges (is death reachable?)")
-        converged = False
-    img, w, _ = _risk_backup(spec, risk, V, vt)
-    residual = float(np.max(np.abs(img - V)))
-    vf = ValueFunction(values=V, marginal=marginal_values(spec, V),
-                       residual=residual, iterations=iterations,
-                       converged=converged)
-
-    if opts.tie_break is TieBreak.PREFER_TRANSPLANT:
-        take = vt >= w[:, None]
-    else:
-        take = vt > w[:, None]
-    acts = np.where(take, int(Action.TRANSPLANT), int(Action.WAIT))
-    acts[:, spec.no_offer_index] = Action.WAIT
-    acts[spec.death_index, :] = Action.NONE
-    return vf, Policy(spec.variant, acts)
+        vf = replace(vf, converged=False)
+    return vf, policy
 
 
 def lifetime_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
@@ -174,38 +141,13 @@ def lifetime_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     validate_model(spec)
     _check_2d(spec)
     j = np.arange(risk.lifetime_pmf.shape[-1])
-    vt = risk.lifetime_pmf @ j
-    vt[spec.death_index, :] = 0.0
-
-    V = np.zeros((spec.n_patient, spec.n_organ))
-    converged = False
-    iterations = 0
-    w = np.zeros(spec.n_patient)
-    for iterations in range(1, opts.max_iterations + 1):
-        m = (spec.offer_prob * V).sum(axis=1)
-        w = 1.0 + spec.transition @ m
-        Vn = np.maximum(vt, w[:, None])
-        Vn[:, spec.no_offer_index] = w
-        Vn[spec.death_index, :] = 0.0
-        delta = float(np.max(np.abs(Vn - V)))
-        V = Vn
-        if delta <= opts.tolerance:
-            converged = True
-            break
-    vf = ValueFunction(values=V, marginal=marginal_values(spec, V),
-                       residual=delta, iterations=iterations, converged=converged)
-    if opts.tie_break is TieBreak.PREFER_TRANSPLANT:
-        take = vt >= w[:, None]
-    else:
-        take = vt > w[:, None]
-    acts = np.where(take, int(Action.TRANSPLANT), int(Action.WAIT))
-    acts[:, spec.no_offer_index] = Action.WAIT
-    acts[spec.death_index, :] = Action.NONE
-    return vf, Policy(spec.variant, acts)
+    return _solve(
+        spec,
+        lambda V: {Action.WAIT: 1.0 + spec.transition @ marginal_values(spec, V)},
+        {Action.TRANSPLANT: risk.lifetime_pmf @ j}, opts)
 
 
 def _check_2d(spec):
-    from .model import Variant
     if spec.variant not in (Variant.BASE,):
         raise ModelValidationError(
             ["risk-sensitive solving expects the base variant with unit wait "

@@ -9,6 +9,7 @@ over the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,11 +18,13 @@ from .model import (
     DiscreteModelSpec,
     ModelValidationError,
     Policy,
+    VARIANT_RULES,
     ValueFunction,
     Variant,
+    non_finite_errors,
     validate_model,
 )
-from .solver import SolveOptions, TieBreak, solve_living_donor
+from .solver import SolveOptions, _backup, _solve, solve_value_iteration
 from .structure import threshold_1d
 
 KL_RESIDUAL_TOL = 1e-10
@@ -35,6 +38,9 @@ class AmbiguitySpec:
 
     def __post_init__(self):
         arr = np.asarray(self.levels, dtype=float)
+        errors = non_finite_errors("ambiguity levels", arr)
+        if errors:
+            raise ModelValidationError(errors)
         if (arr < 0).any():
             raise ModelValidationError(["ambiguity level negative"])
         arr.setflags(write=False)
@@ -112,19 +118,22 @@ def kl_worst_case(nominal: np.ndarray, values: np.ndarray,
     return p, float(ps @ vs)
 
 
-def robust_backup(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
-                  values: np.ndarray) -> np.ndarray:
-    beta = spec.discount
+def _worst_case_wait(spec, ambiguity, values):
+    """Wait value per patient state under the worst row in each KL ball."""
     cont = np.zeros(spec.n_patient)
     for h in range(spec.n_patient):
         if h == spec.death_index:
             continue
         _, worst = kl_worst_case(spec.transition[h], values,
                                  float(ambiguity.levels[h]))
-        cont[h] = spec.wait_reward[h] + beta * worst
-    out = np.maximum(spec.living_donor_reward(), cont)
-    out[spec.death_index] = 0.0
-    return out
+        cont[h] = spec.wait_reward[h] + spec.discount * worst
+    return {Action.WAIT: cont}
+
+
+def robust_backup(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
+                  values: np.ndarray) -> np.ndarray:
+    return _backup(spec, _worst_case_wait(spec, ambiguity, values),
+                   VARIANT_RULES[spec.variant].terminal_rewards(spec))
 
 
 def robust_value_iteration(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
@@ -137,34 +146,8 @@ def robust_value_iteration(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
             ["robust solving is defined for the living_donor variant only"])
     if len(np.asarray(ambiguity.levels)) != spec.n_patient:
         raise ModelValidationError(["ambiguity levels length mismatch"])
-    V = np.zeros(spec.n_patient)
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        Vn = robust_backup(spec, ambiguity, V)
-        delta = float(np.max(np.abs(Vn - V)))
-        V = Vn
-        if delta <= opts.tolerance:
-            converged = True
-            break
-    residual = float(np.max(np.abs(robust_backup(spec, ambiguity, V) - V)))
-    vf = ValueFunction(values=V, marginal=V.copy(), residual=residual,
-                       iterations=iterations, converged=converged)
-
-    cont = np.zeros(spec.n_patient)
-    for h in range(spec.n_patient):
-        if h == spec.death_index:
-            continue
-        _, worst = kl_worst_case(spec.transition[h], V, float(ambiguity.levels[h]))
-        cont[h] = spec.wait_reward[h] + spec.discount * worst
-    rld = spec.living_donor_reward()
-    if opts.tie_break is TieBreak.PREFER_TRANSPLANT:
-        take = rld >= cont
-    else:
-        take = rld > cont
-    acts = np.where(take, int(Action.TRANSPLANT_LIVING), int(Action.WAIT))
-    acts[spec.death_index] = Action.NONE
-    return vf, Policy(spec.variant, acts)
+    return _solve(spec, partial(_worst_case_wait, spec, ambiguity),
+                  VARIANT_RULES[spec.variant].terminal_rewards(spec), opts)
 
 
 @dataclass(frozen=True)
@@ -189,7 +172,7 @@ def compare_robust_myopic(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
     limit must not exceed the myopic one.  Non-threshold policies make (b)
     inapplicable, which is reported rather than raised.
     """
-    vf_myopic, pol_myopic = solve_living_donor(spec, opts)
+    vf_myopic, pol_myopic = solve_value_iteration(spec, opts)
     if not vf_myopic.converged:
         raise ModelValidationError(["myopic solve did not converge"])
     vf_robust, pol_robust = robust_value_iteration(spec, ambiguity, opts)

@@ -13,10 +13,9 @@ from .model import (
     DIALYSIS_REGIME,
     DiscreteModelSpec,
     MEDICATION_REGIME,
-    ModelValidationError,
     Policy,
+    VARIANT_RULES,
     Variant,
-    legal_actions,
     validate_model,
     validate_policy,
 )
@@ -190,7 +189,8 @@ def recompute_reward(spec: DiscreteModelSpec, record: TrajectoryRecord) -> float
         elif a is Action.DIALYSIS:
             reward += disc * spec.wait_reward[DIALYSIS_REGIME, h]
         else:
-            reward += disc * spec.wait_reward_for(regime)[h]
+            reward += disc * (spec.wait_reward[h] if regime is None
+                              else spec.wait_reward[regime, h])
     return reward
 
 
@@ -222,68 +222,41 @@ def estimate_policy_value(spec: DiscreteModelSpec, policy: Policy,
 # exact enumeration on tiny models
 
 def _cell_dynamics(spec):
-    """Reward and next-cell distribution for every (cell, action) pair.
+    """Legal actions, reward and next-cell distribution of every live cell.
 
-    Returns (cells, per-cell legal actions, rewards dict, transition dict);
-    terminal actions map to an all-zero transition row.
+    Cells are (regime, patient, offer column) triples in the order of
+    :meth:`VariantRule.grid`.  Returns (cells, legal actions per cell,
+    rewards dict, transition dict); terminal actions map to an all-zero
+    transition row.
     """
-    live = list(spec.live_patients())
-    if spec.variant is Variant.LIVING_DONOR:
-        cells = [(h,) for h in live]
-    elif spec.variant is Variant.DIALYSIS:
-        cells = [(h, g, k) for g in (MEDICATION_REGIME, DIALYSIS_REGIME)
-                 for h in live for k in range(spec.n_organ)]
-    else:
-        cells = [(h, k) for h in live for k in range(spec.n_organ)]
-    index = {c: i for i, c in enumerate(cells)}
-    n = len(cells)
-    beta = spec.discount
+    rule = VARIANT_RULES[spec.variant]
+    n_regimes, n_patient, n_columns = rule.grid(spec)
+    live = spec.live_patients()
+    offer = spec.offer_prob[live] if rule.organ_axis \
+        else np.ones((len(live), 1))
+    terminals = rule.terminal_rewards(spec)
+    waits = {a.action: a for regime in rule.regimes for a in regime}
+    cells = [(g, h, k) for g in range(n_regimes) for h in live
+             for k in range(n_columns)]
+    block = offer.size  # cells per regime
 
-    rewards, rows = {}, {}
+    legal, rewards, rows = [], {}, {}
     for c in cells:
-        for a in legal_actions(spec, c):
-            row = np.zeros(n)
-            if spec.variant is Variant.LIVING_DONOR:
-                (h,) = c
-                if a is Action.TRANSPLANT_LIVING:
-                    r = spec.living_donor_reward()[h]
-                else:
-                    r = spec.wait_reward[h]
-                    for hp in live:
-                        row[index[(hp,)]] = beta * spec.transition[h, hp]
-            elif spec.variant is Variant.DIALYSIS:
-                h, g, k = c
-                if a is Action.TRANSPLANT:
-                    r = spec.transplant_reward[h, k]
-                else:
-                    gp = MEDICATION_REGIME if a is Action.MEDICATION \
-                        else DIALYSIS_REGIME
-                    r = spec.wait_reward[gp, h]
-                    for hp in live:
-                        for kp in range(spec.n_organ):
-                            row[index[(hp, gp, kp)]] = beta \
-                                * spec.transition[gp, h, hp] \
-                                * spec.offer_prob[hp, kp]
+        g, h, k = c
+        legal.append(rule.legal(spec, g, k))
+        for a in legal[-1]:
+            row = np.zeros(len(cells))
+            if a in terminals:
+                r = np.broadcast_to(terminals[a], (n_patient, n_columns))[h, k]
             else:
-                h, k = c
-                if a is Action.TRANSPLANT:
-                    if spec.variant is Variant.CONTINUOUS_ANALOG:
-                        r = spec.wait_reward[h] \
-                            + beta * spec.success_prob[h, k] * spec.success_reward
-                    else:
-                        r = spec.transplant_reward[h, k]
-                elif a is Action.TRANSPLANT_LIVING:
-                    r = spec.living_donor_reward()[h]
-                else:
-                    r = spec.wait_reward[h]
-                    for hp in live:
-                        for kp in range(spec.n_organ):
-                            row[index[(hp, kp)]] = beta \
-                                * spec.transition[h, hp] \
-                                * spec.offer_prob[hp, kp]
+                wait_reward, transition = waits[a].arrays(spec)
+                r = wait_reward[h]
+                start = (waits[a].regime or 0) * block
+                row[start:start + block] = (
+                    (spec.discount * transition[h, live])[:, None] * offer).ravel()
             rewards[(c, a)] = float(r)
             rows[(c, a)] = row
-    return cells, rewards, rows
+    return cells, legal, rewards, rows
 
 
 def brute_force_optimal(spec: DiscreteModelSpec,
@@ -297,12 +270,11 @@ def brute_force_optimal(spec: DiscreteModelSpec,
     actions per cell.
     """
     validate_model(spec)
-    cells, rewards, rows = _cell_dynamics(spec)
+    cells, acts_per_cell, rewards, rows = _cell_dynamics(spec)
     n = len(cells)
     if n > MAX_BRUTE_FORCE_CELLS:
         raise ValueError(f"{n} live cells exceeds the enumeration bound "
                          f"{MAX_BRUTE_FORCE_CELLS}")
-    acts_per_cell = [legal_actions(spec, c) for c in cells]
     if max(len(a) for a in acts_per_cell) > MAX_BRUTE_FORCE_ACTIONS:
         raise ValueError("more than 3 actions at some cell")
 
@@ -330,37 +302,15 @@ def brute_force_optimal(spec: DiscreteModelSpec,
         qs = [rewards[(c, a)] + rows[(c, a)] @ best_vals for a in acts]
         assign.append(acts[int(np.argmax(qs))])
 
-    values = _values_array(spec, cells, best_vals)
-    actions = _policy_array(spec, cells, assign)
-    return values, validate_policy(spec, Policy(spec.variant, actions))
-
-
-def _values_array(spec, cells, vals):
-    from .solver import zero_values
-    out = zero_values(spec)
-    for c, v in zip(cells, vals):
-        if spec.variant is Variant.LIVING_DONOR:
-            out[c[0]] = v
-        elif spec.variant is Variant.DIALYSIS:
-            h, g, k = c
-            out[g, h, k] = v
-        else:
-            out[c] = v
-    return out
-
-
-def _policy_array(spec, cells, assign):
-    from .solver import zero_values
-    actions = np.full_like(zero_values(spec), int(Action.NONE), dtype=np.int64)
-    for c, a in zip(cells, assign):
-        if spec.variant is Variant.LIVING_DONOR:
-            actions[c[0]] = int(a)
-        elif spec.variant is Variant.DIALYSIS:
-            h, g, k = c
-            actions[g, h, k] = int(a)
-        else:
-            actions[c] = int(a)
-    return actions
+    rule = VARIANT_RULES[spec.variant]
+    at = tuple(np.array(cells).T)
+    values = np.zeros(rule.grid(spec))
+    values[at] = best_vals
+    actions = np.full(rule.grid(spec), int(Action.NONE), dtype=np.int64)
+    actions[at] = [int(a) for a in assign]
+    shape = rule.value_shape(spec)
+    return values.reshape(shape), validate_policy(
+        spec, Policy(spec.variant, actions.reshape(shape)))
 
 
 # ---------------------------------------------------------------------------

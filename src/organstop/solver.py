@@ -1,20 +1,26 @@
-"""Value iteration and greedy policy extraction for every discrete variant."""
+"""Value iteration and greedy policy extraction for every discrete variant.
+
+The backup and the greedy choice below are the only code that turns a
+:class:`~organstop.model.VariantRule` into numbers, and :func:`fixed_point`
+is the only iteration loop.
+"""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 
 import numpy as np
 
 from .model import (
     Action,
-    DIALYSIS_REGIME,
     DiscreteModelSpec,
-    MEDICATION_REGIME,
     ModelValidationError,
     Orientation,
     Policy,
+    VARIANT_RULES,
     ValueFunction,
     Variant,
     validate_model,
@@ -39,36 +45,125 @@ class SolveOptions:
             raise ValueError("max_iterations must be >= 1")
 
 
+def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
+                stall_window: int | None = None):
+    """Iterate ``x <- step(x)`` from ``x0`` until a step moves x by at most
+    ``opts.tolerance`` in sup-norm.
+
+    Returns ``(x, iterations, converged, residual)`` with residual
+    max |step(x) - x| at the returned x.  Reaching ``opts.max_iterations``
+    returns the last iterate flagged non-converged.  For recursions not
+    known to contract, ``stall_window`` iterations in a row without a new
+    smallest step also stop the iteration, with a warning.
+    """
+    x = x0
+    iterations = 0
+    converged = False
+    best_step, since_best = np.inf, 0
+    for iterations in range(1, opts.max_iterations + 1):
+        x_next = step(x)
+        delta = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if delta <= opts.tolerance:
+            converged = True
+            break
+        if stall_window is None:
+            continue
+        if delta < best_step - 1e-15:
+            best_step, since_best = delta, 0
+        else:
+            since_best += 1
+            if since_best >= stall_window:
+                warnings.warn("recursion is not contracting; returning the "
+                              "last iterate flagged non-converged")
+                break
+    residual = float(np.max(np.abs(step(x) - x)))
+    return x, iterations, converged, residual
+
+
 def zero_values(spec: DiscreteModelSpec) -> np.ndarray:
-    if spec.variant is Variant.LIVING_DONOR:
-        return np.zeros(spec.n_patient)
-    if spec.variant is Variant.DIALYSIS:
-        return np.zeros((2, spec.n_patient, spec.n_organ))
-    return np.zeros((spec.n_patient, spec.n_organ))
+    return np.zeros(VARIANT_RULES[spec.variant].value_shape(spec))
 
 
 def marginal_values(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
-    """Expectation of V(h, k) over the offer distribution: sum_k V(h,k) K(k|h)."""
-    if spec.variant is Variant.LIVING_DONOR:
+    """Expectation of V(h, k) over the offer distribution: sum_k V(h,k) K(k|h).
+
+    Values without an organ axis (the living-donor chain) are returned as is.
+    """
+    if not VARIANT_RULES[spec.variant].organ_axis:
         return np.asarray(values, dtype=float).copy()
     return (spec.offer_prob * values).sum(axis=-1)
 
 
-def _continuation(spec, values):
-    """Per-variant wait values; shapes match the patient axis."""
-    beta = spec.discount
-    if spec.variant is Variant.LIVING_DONOR:
-        return spec.wait_reward + beta * spec.transition @ values
-    if spec.variant is Variant.DIALYSIS:
-        vbar = marginal_values(spec, values)  # (2, H)
-        cont_m = spec.wait_reward[0] + beta * spec.transition[0] @ vbar[0]
-        cont_d = spec.wait_reward[1] + beta * spec.transition[1] @ vbar[1]
-        return cont_m, cont_d
-    vbar = marginal_values(spec, values)  # (H,)
-    if spec.variant is Variant.CONTINUOUS_ANALOG:
-        # reward accrues regardless of the action; discounting sits inside
-        return spec.transition @ vbar
-    return spec.wait_reward + beta * spec.transition @ vbar
+def _wait_values(spec, values):
+    """Continuation value per patient state of every wait action."""
+    rule = VARIANT_RULES[spec.variant]
+    vbar = marginal_values(spec, values).reshape(len(rule.regimes), -1)
+    out = {}
+    for regime in rule.regimes:
+        for wait in regime:
+            reward, transition = wait.arrays(spec)
+            out[wait.action] = reward + spec.discount * (
+                transition @ vbar[wait.regime or 0])
+    return out
+
+
+def _backup(spec, waits, terminals):
+    """Bellman image from continuation values and terminal rewards.
+
+    ``waits`` maps each wait action of the variant's rule to its value per
+    patient state and ``terminals`` each terminal action to its reward
+    grid; robust and risk-sensitive solvers pass their own.
+    """
+    rule = VARIANT_RULES[spec.variant]
+    out = np.empty(rule.value_shape(spec))
+    grid = out.reshape(rule.grid(spec))
+    first, *rest = [terminals[t.action] for t in rule.terminals]
+    for regime, image in zip(rule.regimes, grid):
+        wait = reduce(np.maximum, [waits[a.action] for a in regime])
+        np.maximum(first, wait[:, None], out=image)
+        for reward in rest:
+            np.maximum(image, reward, out=image)
+        if rule.organ_axis:  # no offer: waits and unconditional terminals only
+            column = spec.no_offer_index
+            image[:, column] = reduce(np.maximum, [wait] + [
+                np.broadcast_to(terminals[t.action], image.shape)[:, column]
+                for t in rule.terminals if not t.offered_only])
+    grid[:, spec.death_index] = 0.0
+    return out
+
+
+def _greedy(spec, waits, terminals, tie_break):
+    """Greedy policy for the same inputs as :func:`_backup`."""
+    rule = VARIANT_RULES[spec.variant]
+    grid = rule.grid(spec)
+    no_offer = rule.organ_axis and np.arange(grid[2]) == spec.no_offer_index
+    stop = [(t.action, np.where(no_offer & t.offered_only, -np.inf,
+                                terminals[t.action]))
+            for t in rule.terminals]
+    actions = np.empty(rule.value_shape(spec), dtype=np.int64)
+    for regime, chosen in zip(rule.regimes, actions.reshape(grid)):
+        stay = [(a.action, waits[a.action][:, None]) for a in regime]
+        ranked = stop + stay if tie_break is TieBreak.PREFER_TRANSPLANT \
+            else stay + stop
+        values = np.stack([np.broadcast_to(v, grid[1:]) for _, v in ranked])
+        codes = np.array([int(a) for a, _ in ranked])
+        # argmax takes the first maximum: exact ties go to the earlier action
+        chosen[...] = codes[np.argmax(values, axis=0)]
+    actions.reshape(grid)[:, spec.death_index] = Action.NONE
+    return Policy(spec.variant, actions)
+
+
+def _solve(spec, waits, terminals, opts, stall_window=None):
+    """Iterate :func:`_backup` with continuation values ``waits(V)`` to its
+    fixed point; return the value function and its greedy policy."""
+    V, iterations, converged, residual = fixed_point(
+        lambda V: _backup(spec, waits(V), terminals), zero_values(spec), opts,
+        stall_window)
+    vf = ValueFunction(values=V, marginal=marginal_values(spec, V),
+                       residual=residual, iterations=iterations,
+                       converged=converged)
+    return vf, _greedy(spec, waits(V), terminals, opts.tie_break)
 
 
 def bellman_backup(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
@@ -78,56 +173,11 @@ def bellman_backup(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
     and is a discount-factor contraction in sup-norm.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != zero_values(spec).shape:
+    rule = VARIANT_RULES[spec.variant]
+    if values.shape != rule.value_shape(spec):
         raise ModelValidationError(
             [f"value shape {values.shape} does not match variant {spec.variant.value}"])
-    death, nooff = spec.death_index, spec.no_offer_index
-    R = spec.transplant_reward
-
-    if spec.variant is Variant.LIVING_DONOR:
-        out = np.maximum(spec.living_donor_reward(), _continuation(spec, values))
-        out[death] = 0.0
-        return out
-
-    if spec.variant is Variant.DIALYSIS:
-        cont_m, cont_d = _continuation(spec, values)
-        out = np.empty_like(values)
-        out[MEDICATION_REGIME] = np.maximum(
-            R, np.maximum(cont_m, cont_d)[:, None])
-        out[MEDICATION_REGIME, :, nooff] = np.maximum(cont_m, cont_d)
-        out[DIALYSIS_REGIME] = np.maximum(R, cont_d[:, None])
-        out[DIALYSIS_REGIME, :, nooff] = cont_d
-        out[:, death, :] = 0.0
-        return out
-
-    cont = _continuation(spec, values)
-    if spec.variant is Variant.CONTINUOUS_ANALOG:
-        out = spec.wait_reward[:, None] + spec.discount * np.maximum(R, cont[:, None])
-        out[:, nooff] = spec.wait_reward + spec.discount * cont
-    elif spec.variant is Variant.COMBINED:
-        best = np.maximum(R, spec.living_donor_reward()[:, None])
-        out = np.maximum(best, cont[:, None])
-        out[:, nooff] = np.maximum(spec.living_donor_reward(), cont)
-    else:
-        out = np.maximum(R, cont[:, None])
-        out[:, nooff] = cont
-    out[death, :] = 0.0
-    return out
-
-
-def _pick(candidates, actions, tie_break, transplant_first_order):
-    """Greedy choice from stacked candidate values with deterministic ties.
-
-    ``candidates`` is a list of arrays (same shape); ``actions`` the matching
-    action codes.  On exact ties the earliest entry wins, so the caller
-    orders by preference.
-    """
-    order = transplant_first_order if tie_break is TieBreak.PREFER_TRANSPLANT \
-        else list(range(len(candidates)))
-    stacked = np.stack([candidates[i] for i in order])
-    choice = np.argmax(stacked, axis=0)
-    codes = np.array([int(actions[i]) for i in order])
-    return codes[choice]
+    return _backup(spec, _wait_values(spec, values), rule.terminal_rewards(spec))
 
 
 def greedy_policy(spec: DiscreteModelSpec, values: np.ndarray,
@@ -138,59 +188,8 @@ def greedy_policy(spec: DiscreteModelSpec, values: np.ndarray,
     TRANSPLANT over TRANSPLANT_LIVING among transplants); PREFER_TRANSPLANT
     is the reverse.
     """
-    death, nooff = spec.death_index, spec.no_offer_index
-    R = spec.transplant_reward
-
-    if spec.variant is Variant.LIVING_DONOR:
-        cont = _continuation(spec, values)
-        acts = _pick([cont, spec.living_donor_reward()],
-                     [Action.WAIT, Action.TRANSPLANT_LIVING], tie_break, [1, 0])
-        acts[death] = Action.NONE
-        return Policy(spec.variant, acts)
-
-    if spec.variant is Variant.DIALYSIS:
-        cont_m, cont_d = _continuation(spec, values)
-        H, K = spec.n_patient, spec.n_organ
-        med = _pick(
-            [np.broadcast_to(cont_m[:, None], (H, K)),
-             np.broadcast_to(cont_d[:, None], (H, K)), R],
-            [Action.MEDICATION, Action.DIALYSIS, Action.TRANSPLANT],
-            tie_break, [2, 0, 1])
-        dia = _pick(
-            [np.broadcast_to(cont_d[:, None], (H, K)), R],
-            [Action.DIALYSIS, Action.TRANSPLANT], tie_break, [1, 0])
-        med[:, nooff] = np.where(cont_d > cont_m, Action.DIALYSIS, Action.MEDICATION)
-        dia[:, nooff] = Action.DIALYSIS
-        acts = np.stack([med, dia])
-        acts[:, death, :] = Action.NONE
-        return Policy(spec.variant, acts)
-
-    cont = _continuation(spec, values)
-    if spec.variant is Variant.CONTINUOUS_ANALOG:
-        cont_grid = np.broadcast_to(cont[:, None], R.shape)
-        acts = _pick([cont_grid, R], [Action.WAIT, Action.TRANSPLANT],
-                     tie_break, [1, 0])
-    elif spec.variant is Variant.COMBINED:
-        cont_grid = np.broadcast_to(cont[:, None], R.shape)
-        rld = np.broadcast_to(spec.living_donor_reward()[:, None], R.shape)
-        acts = _pick([cont_grid, R, rld],
-                     [Action.WAIT, Action.TRANSPLANT, Action.TRANSPLANT_LIVING],
-                     tie_break, [1, 2, 0])
-    else:
-        cont_grid = np.broadcast_to(cont[:, None], R.shape)
-        acts = _pick([cont_grid, R], [Action.WAIT, Action.TRANSPLANT],
-                     tie_break, [1, 0])
-    # no transplant without an offer
-    col = acts[:, nooff]
-    if spec.variant is Variant.COMBINED:
-        rld = spec.living_donor_reward()
-        tie_t = tie_break is TieBreak.PREFER_TRANSPLANT
-        take_ld = (rld > cont) if not tie_t else (rld >= cont)
-        acts[:, nooff] = np.where(take_ld, Action.TRANSPLANT_LIVING, Action.WAIT)
-    else:
-        acts[:, nooff] = Action.WAIT
-    acts[death, :] = Action.NONE
-    return Policy(spec.variant, acts)
+    return _greedy(spec, _wait_values(spec, values),
+                   VARIANT_RULES[spec.variant].terminal_rewards(spec), tie_break)
 
 
 def solve_value_iteration(spec: DiscreteModelSpec,
@@ -204,32 +203,8 @@ def solve_value_iteration(spec: DiscreteModelSpec,
     non-converged.
     """
     validate_model(spec)
-    V = zero_values(spec)
-    iterations = 0
-    converged = False
-    for iterations in range(1, opts.max_iterations + 1):
-        Vn = bellman_backup(spec, V)
-        delta = float(np.max(np.abs(Vn - V)))
-        V = Vn
-        if delta <= opts.tolerance:
-            converged = True
-            break
-    residual = float(np.max(np.abs(bellman_backup(spec, V) - V)))
-    vf = ValueFunction(values=V, marginal=marginal_values(spec, V),
-                       residual=residual, iterations=iterations,
-                       converged=converged)
-    return vf, greedy_policy(spec, V, opts.tie_break)
-
-
-def solve_living_donor(spec: DiscreteModelSpec,
-                       opts: SolveOptions = SolveOptions()
-                       ) -> tuple[ValueFunction, Policy]:
-    """Solve the one-dimensional living-donor chain over {wait, transplant}."""
-    if spec.variant is not Variant.LIVING_DONOR:
-        raise ModelValidationError(
-            [f"solve_living_donor requires the living_donor variant, got "
-             f"{spec.variant.value}"])
-    return solve_value_iteration(spec, opts)
+    return _solve(spec, partial(_wait_values, spec),
+                  VARIANT_RULES[spec.variant].terminal_rewards(spec), opts)
 
 
 def build_continuous_analog_spec(

@@ -95,9 +95,12 @@ def _scan_axis(lines, axis: str) -> ControlLimitReport:
 
 
 def _threshold_form(reports, axis):
-    """Thresholds when each line is wait-then-transplant (patient axis) or
-    transplant-then-anything-constant... strictly: transplant prefix (organ
-    axis).  Returns None when some line has another shape."""
+    """Per-line thresholds, or None unless every line has the classic shape.
+
+    Along the patient axis a line must be a wait block followed by a
+    transplant block; along the organ axis, a transplant block followed by
+    a wait block.  Either block may be empty.
+    """
     out = []
     for rep in reports:
         runs = rep.runs
@@ -108,7 +111,7 @@ def _threshold_form(reports, axis):
             if transplant:
                 out.append(runs[0][1] if axis == "patient" else runs[0][2] - 1)
             else:
-                out.append(len_line(runs) if axis == "patient" else -1)
+                out.append(runs[-1][2] if axis == "patient" else -1)
         elif len(runs) == 2 and len(transplant) == 1:
             if axis == "patient" and acts[0] == Action.WAIT and acts[1] in transplant:
                 out.append(runs[1][1])
@@ -119,10 +122,6 @@ def _threshold_form(reports, axis):
         else:
             return None
     return np.array(out)
-
-
-def len_line(runs):
-    return runs[-1][2]
 
 
 def extract_patient_control_limits(spec: DiscreteModelSpec,

@@ -148,6 +148,38 @@ def random_dialysis_spec(rng, n_live=2, n_offered=1, discount=None):
     return validate_model(spec)
 
 
+def random_analog_spec(rng, n_live=3, n_offered=2, discount=None):
+    """Continuous-analog spec: transplant reward = success_prob * reward."""
+    H, K = n_live + 1, n_offered + 1
+    discount = discount if discount is not None else rng.uniform(0.5, 0.95)
+    success = np.zeros((H, K))
+    success[:-1, :-1] = rng.uniform(0.0, 1.0, (n_live, n_offered))
+    success_reward = float(rng.uniform(5.0, 15.0))
+    spec = DiscreteModelSpec(
+        variant=Variant.CONTINUOUS_ANALOG,
+        n_patient=H, death_index=n_live,
+        n_organ=K, no_offer_index=n_offered,
+        transition=random_transition(rng, n_live),
+        offer_prob=random_offer(rng, n_live, n_offered),
+        wait_reward=np.append(rng.uniform(0.1, 1.0, n_live), 0.0),
+        transplant_reward=success * success_reward, discount=discount,
+        success_prob=success, success_reward=success_reward,
+    )
+    return validate_model(spec)
+
+
+def random_spec(rng, variant, n_live=2, n_offered=1):
+    """Random spec of any variant; the living-donor chain ignores
+    ``n_offered`` (its one column is the donor)."""
+    if variant is Variant.LIVING_DONOR:
+        return random_living_donor_spec(rng, n_live)
+    if variant is Variant.DIALYSIS:
+        return random_dialysis_spec(rng, n_live, n_offered)
+    if variant is Variant.CONTINUOUS_ANALOG:
+        return random_analog_spec(rng, n_live, n_offered)
+    return random_base_spec(rng, n_live, n_offered, variant=variant)
+
+
 def risk_base_spec(rng, n_live=3, n_offered=2, min_death=0.1):
     """Base spec with unit wait rewards and guaranteed death mass, as the
     risk-sensitive recursion requires."""

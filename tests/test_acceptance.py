@@ -55,7 +55,6 @@ from organstop import (
     renewal_lambda,
     risk_sensitive_value_iteration,
     robust_value_iteration,
-    solve_living_donor,
     solve_value_iteration,
     threshold_1d,
 )
@@ -138,7 +137,7 @@ def test_criterion_4_robust_dominance_and_nesting():
     ok = True
     for _ in range(50):
         spec = random_living_donor_spec(rng)
-        vf_myopic, pol_myopic = solve_living_donor(spec, TIGHT)
+        vf_myopic, pol_myopic = solve_value_iteration(spec, TIGHT)
         myopic_limit = threshold_1d(pol_myopic.actions, spec.death_index)
         prev_accept = None
         for radius in radii:

@@ -148,6 +148,19 @@ def test_cli_solve_validation_error_names_path(tmp_path, capsys):
     assert "model" in err and "row sum" in err
 
 
+def test_cli_solve_rejects_nan(tmp_path, capsys):
+    doc = model_doc(random_base_spec(np.random.default_rng(9)))
+    doc["model"]["transplant_reward"][0][0] = float("nan")
+    inp = write_doc(tmp_path, doc)
+    with open(inp) as fh:
+        assert "NaN" in fh.read()
+    code = cli.main(["solve", "--input", inp,
+                     "--output", str(tmp_path / "o.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "transplant_reward: non-finite entry nan at (0, 0)" \
+        in capsys.readouterr().err
+
+
 def test_cli_solve_non_convergence_exit_code(tmp_path):
     spec = random_base_spec(np.random.default_rng(8), discount=0.95)
     inp = write_doc(tmp_path, model_doc(spec))

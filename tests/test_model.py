@@ -1,14 +1,18 @@
 """Validation, IFR checks, and orientation canonicalization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from organstop import (
     Action,
+    AmbiguitySpec,
     DiscreteModelSpec,
     ModelValidationError,
     Orientation,
     Policy,
+    RiskSpec,
     Variant,
     canonicalize_orientation,
     check_ifr,
@@ -20,7 +24,12 @@ from organstop import (
 )
 from organstop.solver import SolveOptions, solve_value_iteration
 
-from helpers import random_base_spec, random_dialysis_spec, structured_base_spec
+from helpers import (
+    random_analog_spec,
+    random_base_spec,
+    random_dialysis_spec,
+    structured_base_spec,
+)
 
 
 def tiny_spec(**overrides):
@@ -69,6 +78,46 @@ def test_reward_at_death_rejected():
 def test_living_donor_forbidden_for_base():
     msgs = validation_errors(tiny_spec(living_donor_state=0))
     assert any("living donor" in m.lower() for m in msgs)
+
+
+@pytest.mark.parametrize("field, index, bad", [
+    ("transition", (0, 1), np.nan),
+    ("offer_prob", (1, 0), -np.inf),
+    ("wait_reward", 0, np.nan),
+    ("transplant_reward", (0, 0), np.nan),
+    ("transplant_reward", (1, 0), np.inf),
+    ("success_prob", (0, 1), np.nan),
+    ("success_reward", None, np.nan),
+    ("ambiguity levels", 1, np.nan),
+    ("risk_coefficient", None, np.nan),
+    ("lifetime_pmf", (0, 1, 0), np.nan),
+], ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", ""))
+def test_non_finite_input_is_rejected(field, index, bad):
+    where = () if index is None else index
+    if field == "ambiguity levels":
+        levels = np.zeros(3)
+        levels[where] = bad
+        with pytest.raises(ModelValidationError) as exc:
+            AmbiguitySpec(levels)
+        errors = exc.value.errors
+    elif field in ("risk_coefficient", "lifetime_pmf"):
+        pmf = np.zeros((3, 2, 2))
+        pmf[..., 0] = 1.0
+        coefficient = bad if field == "risk_coefficient" else 1.0
+        if field == "lifetime_pmf":
+            pmf[where] = bad
+        with pytest.raises(ModelValidationError) as exc:
+            RiskSpec(coefficient, pmf)
+        errors = exc.value.errors
+    else:
+        spec = random_analog_spec(np.random.default_rng(0)) \
+            if field.startswith("success") else tiny_spec()
+        value = np.array(getattr(spec, field), dtype=float)
+        value[where] = bad
+        errors = validation_errors(
+            replace(spec, **{field: value if value.ndim else float(value)}))
+    at = "" if index is None else f" at {index}"
+    assert f"{field}: non-finite entry {bad}{at}" in errors
 
 
 def test_validate_model_raises_and_seals():

@@ -132,6 +132,21 @@ def test_lifetime_recursion_geometric_closed_form():
     assert vf.values[0, 0] == pytest.approx(1.0 / (1 - q), abs=1e-9)
 
 
+def test_lifetime_residual_is_the_bellman_residual():
+    rng = np.random.default_rng(0)
+    spec = risk_base_spec(rng, n_live=2, n_offered=2)
+    risk = RiskSpec(1.0, random_lifetime_pmf(rng, spec))
+    vf, _ = lifetime_value_iteration(spec, risk, SolveOptions(tolerance=1e-3))
+    # the lifetime operator written out: one epoch per wait, undiscounted
+    V = vf.values
+    stay = 1.0 + spec.transition @ (spec.offer_prob * V).sum(axis=1)
+    image = np.maximum(risk.lifetime_pmf @ np.arange(risk.lifetime_pmf.shape[-1]),
+                       stay[:, None])
+    image[:, spec.no_offer_index] = stay
+    image[spec.death_index] = 0.0
+    assert vf.residual == pytest.approx(np.max(np.abs(image - V)), rel=1e-9)
+
+
 def test_small_gamma_matches_risk_neutral():
     rng = np.random.default_rng(1)
     for _ in range(5):

@@ -11,7 +11,7 @@ from organstop import (
     kl_divergence,
     kl_worst_case,
     robust_value_iteration,
-    solve_living_donor,
+    solve_value_iteration,
 )
 
 from helpers import random_living_donor_spec
@@ -106,7 +106,7 @@ def test_zero_radius_matches_nominal_solve():
         amb = AmbiguitySpec(np.zeros(spec.n_patient))
         vf_r, pol_r = robust_value_iteration(spec, amb,
                                              SolveOptions(tolerance=1e-12))
-        vf_n, pol_n = solve_living_donor(spec, SolveOptions(tolerance=1e-12))
+        vf_n, pol_n = solve_value_iteration(spec, SolveOptions(tolerance=1e-12))
         np.testing.assert_allclose(vf_r.values, vf_n.values, atol=1e-9)
         np.testing.assert_array_equal(pol_r.actions, pol_n.actions)
 
@@ -117,7 +117,7 @@ def test_robust_value_below_nominal():
         spec = random_living_donor_spec(rng)
         amb = AmbiguitySpec(np.full(spec.n_patient, 0.1))
         vf_r, _ = robust_value_iteration(spec, amb, SolveOptions(tolerance=1e-10))
-        vf_n, _ = solve_living_donor(spec, SolveOptions(tolerance=1e-10))
+        vf_n, _ = solve_value_iteration(spec, SolveOptions(tolerance=1e-10))
         assert np.all(vf_r.values <= vf_n.values + 1e-8)
 
 

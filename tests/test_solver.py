@@ -5,25 +5,29 @@ import pytest
 
 from organstop import (
     Action,
+    AmbiguitySpec,
     DiscreteModelSpec,
-    ModelValidationError,
+    RiskSpec,
     SolveOptions,
     TieBreak,
     Variant,
     bellman_backup,
     build_continuous_analog_spec,
     greedy_policy,
-    solve_living_donor,
+    lifetime_value_iteration,
+    risk_sensitive_value_iteration,
+    robust_value_iteration,
     solve_value_iteration,
     validate_model,
 )
 from organstop.simulate import brute_force_optimal
-from organstop.solver import zero_values
+from organstop.solver import fixed_point, zero_values
 
 from helpers import (
     random_base_spec,
     random_dialysis_spec,
     random_living_donor_spec,
+    random_spec,
 )
 
 TIGHT = SolveOptions(tolerance=1e-12)
@@ -67,14 +71,16 @@ def test_death_rows_stay_zero():
     assert np.all(policy.actions[spec.death_index] == Action.NONE)
 
 
-def test_backup_is_a_contraction():
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_backup_is_a_contraction(variant):
     rng = np.random.default_rng(1)
     for _ in range(20):
-        spec = random_base_spec(rng)
+        spec = random_spec(rng, variant, n_live=3, n_offered=2)
         shape = zero_values(spec).shape
         U = rng.uniform(0, 10, shape)
         V = rng.uniform(0, 10, shape)
-        U[spec.death_index] = V[spec.death_index] = 0.0
+        for arr in (U, V):  # zero at death along the patient axis
+            np.moveaxis(arr, -2 if arr.ndim > 1 else 0, 0)[spec.death_index] = 0.0
         gap = np.max(np.abs(bellman_backup(spec, U) - bellman_backup(spec, V)))
         assert gap <= spec.discount * np.max(np.abs(U - V)) + 1e-12
 
@@ -117,17 +123,11 @@ def test_dialysis_switch_is_irreversible_in_values():
         assert np.all(vf.values[1] <= vf.values[0] + 1e-9)
 
 
-def test_living_donor_requires_variant():
-    spec = random_base_spec(np.random.default_rng(6))
-    with pytest.raises(ModelValidationError):
-        solve_living_donor(spec)
-
-
 def test_living_donor_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(20):
         spec = random_living_donor_spec(rng)
-        vf, _ = solve_living_donor(spec, SolveOptions(tolerance=1e-10))
+        vf, _ = solve_value_iteration(spec, SolveOptions(tolerance=1e-10))
         oracle_vals, _ = brute_force_optimal(spec)
         assert np.max(np.abs(vf.values - oracle_vals)) < 1e-7
 
@@ -143,6 +143,73 @@ def test_tie_break_is_honored():
     pol_t = greedy_policy(spec, values, TieBreak.PREFER_TRANSPLANT)
     assert pol_w.actions[0, 0] == Action.WAIT
     assert pol_t.actions[0, 0] == Action.TRANSPLANT
+
+    # the same tie in every other greedy rule; each case lists its tied
+    # cells with the (prefer-wait, prefer-transplant) winners
+    for spec, values, ties in tie_cases():
+        assert np.array_equal(bellman_backup(spec, values), values)
+        pol_w = greedy_policy(spec, values, TieBreak.PREFER_WAIT)
+        pol_t = greedy_policy(spec, values, TieBreak.PREFER_TRANSPLANT)
+        for cell, (wait_wins, transplant_wins) in ties.items():
+            assert pol_w.actions[cell] == wait_wins, (spec.variant, cell)
+            assert pol_t.actions[cell] == transplant_wins, (spec.variant, cell)
+
+    # robust chain at radius zero: the worst case is the nominal row
+    spec = tie_cases()[0][0]
+    for tie_break, expect in ((TieBreak.PREFER_WAIT, Action.WAIT),
+                              (TieBreak.PREFER_TRANSPLANT,
+                               Action.TRANSPLANT_LIVING)):
+        vf, pol = robust_value_iteration(
+            spec, AmbiguitySpec(np.zeros(2)),
+            SolveOptions(tolerance=1e-12, tie_break=tie_break))
+        assert np.array_equal(vf.values, [1.0, 0.0])
+        assert pol.actions[0] == expect
+
+    # both risk recursions: transplanting yields exactly one epoch, as
+    # does waiting from a state that dies next epoch
+    spec = tie_spec(Variant.BASE, transition=[[0.0, 1.0], [0.0, 1.0]],
+                    wait=[1.0, 0.0], reward=[[0.0, 0.0], [0.0, 0.0]],
+                    discount=0.9)
+    pmf = np.zeros((2, 2, 2))
+    pmf[0, :, 1] = pmf[1, :, 0] = 1.0
+    for solver in (risk_sensitive_value_iteration, lifetime_value_iteration):
+        for tie_break, expect in ((TieBreak.PREFER_WAIT, Action.WAIT),
+                                  (TieBreak.PREFER_TRANSPLANT,
+                                   Action.TRANSPLANT)):
+            _, pol = solver(spec, RiskSpec(0.5, pmf),
+                            SolveOptions(tolerance=1e-12, tie_break=tie_break))
+            assert pol.actions[0, 0] == expect, solver.__name__
+            assert pol.actions[0, 1] == Action.WAIT
+
+
+def tie_spec(variant, transition=((0.5, 0.5), (0.0, 1.0)), wait=(0.75, 0.0),
+             reward=((1.0, 0.0), (0.0, 0.0)), discount=0.5, **extra):
+    return validate_model(DiscreteModelSpec(
+        variant=variant, n_patient=2, death_index=1, n_organ=2,
+        no_offer_index=1, transition=np.array(transition, dtype=float),
+        offer_prob=np.full((2, 2), 0.5), wait_reward=np.array(wait),
+        transplant_reward=np.array(reward), discount=discount, **extra))
+
+
+def tie_cases():
+    """Specs whose continuation at ``values`` is exactly 0.75 + 0.25 = 1,
+    the same as every terminal reward offered at the live state."""
+    W, T, TL = Action.WAIT, Action.TRANSPLANT, Action.TRANSPLANT_LIVING
+    M, D = Action.MEDICATION, Action.DIALYSIS
+    chain = tie_spec(Variant.LIVING_DONOR, living_donor_state=0)
+    combined = tie_spec(Variant.COMBINED, living_donor_state=0)
+    stay = ((0.5, 0.5), (0.0, 1.0))
+    dialysis = tie_spec(Variant.DIALYSIS, transition=(stay, stay),
+                        wait=((0.75, 0.0), (0.75, 0.0)))
+    grid = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return [
+        (chain, np.array([1.0, 0.0]), {(0,): (W, TL)}),
+        (combined, grid, {(0, 0): (W, T), (0, 1): (W, TL)}),
+        # medication wins the no-offer tie under both tie-breaks
+        (dialysis, np.stack([grid, grid]),
+         {(0, 0, 0): (M, T), (0, 0, 1): (M, M),
+          (1, 0, 0): (D, T), (1, 0, 1): (D, D)}),
+    ]
 
 
 def test_continuous_analog_build_and_solve():
@@ -164,6 +231,18 @@ def test_continuous_analog_build_and_solve():
     assert np.all(vf.values[live, :] >= 1.0 - 1e-12)
     oracle_vals, _ = brute_force_optimal(spec)
     assert np.max(np.abs(vf.values - oracle_vals)) < 1e-7
+
+
+def test_fixed_point_stall_window():
+    # x -> -x never contracts: every step has size 2
+    _, iterations, converged, residual = fixed_point(
+        np.negative, np.ones(2), SolveOptions(max_iterations=50))
+    assert (iterations, converged, residual) == (50, False, 2.0)
+    with pytest.warns(UserWarning, match="not contracting"):
+        _, iterations, converged, residual = fixed_point(
+            np.negative, np.ones(2), SolveOptions(max_iterations=50),
+            stall_window=5)
+    assert (iterations, converged, residual) == (6, False, 2.0)
 
 
 def test_non_convergence_is_flagged():
