@@ -210,6 +210,16 @@ def test_cli_simulate(tmp_path):
     assert abs(sim["mean"] - sim["solver_value"]) <= 4 * sim["std_error"]
 
 
+def test_cli_simulate_rejects_bad_sample_size_and_seed(tmp_path):
+    spec = random_base_spec(np.random.default_rng(11))
+    inp = write_doc(tmp_path, model_doc(spec))
+    out = tmp_path / "sim.json"
+    for flags in (["--trajectories", "0"], ["--seed", "-1"]):
+        assert cli.main(["simulate", "--input", inp, "--output", str(out)]
+                        + flags) == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_cli_continuous_fixed_instants(tmp_path):
     doc = {"continuous": {
         "offers": {"family": "finite", "values": [1.0, 0.5],

@@ -26,9 +26,11 @@ from organstop import (
     solve_value_iteration,
     validate_model,
 )
+from organstop import simulate
+from organstop.model import VARIANT_RULES
 from organstop.simulate import trajectory_rng
 
-from helpers import random_base_spec, random_dialysis_spec
+from helpers import random_base_spec, random_dialysis_spec, random_spec
 
 
 def deterministic_chain():
@@ -131,6 +133,109 @@ def test_seed_batches_have_consistent_variance():
     within = estimate_policy_value(spec, policy, 500, seed=0).std_error
     ratio = np.std(ests, ddof=1) / within
     assert 0.5 < ratio < 2.0
+
+
+def random_policy(spec, rng):
+    """A legal policy with a uniformly drawn action at every live cell."""
+    rule = VARIANT_RULES[spec.variant]
+    actions = np.full(rule.grid(spec), int(Action.NONE))
+    for g, h, k in np.ndindex(actions.shape):
+        if h != spec.death_index:
+            actions[g, h, k] = rng.choice(rule.legal(spec, g, k))
+    return Policy(spec.variant, actions.reshape(rule.value_shape(spec)))
+
+
+def scalar_rewards(spec, policy, seed, indices, max_epochs=simulate.MAX_EPOCHS):
+    records = [simulate_trajectory(spec, policy, trajectory_rng(seed, i),
+                                   max_epochs=max_epochs) for i in indices]
+    return (np.array([r.reward for r in records]),
+            sum(r.terminal == "truncated" for r in records))
+
+
+@pytest.mark.filterwarnings("error")  # uint64 wrap-around must stay silent
+@pytest.mark.parametrize("variant", list(Variant))
+def test_batched_rollout_is_bit_identical(variant, monkeypatch):
+    rng = np.random.default_rng(17)
+    spec = random_spec(rng, variant, n_live=3, n_offered=2)
+    policies = [solve_value_iteration(spec)[1], random_policy(spec, rng),
+                random_policy(spec, rng)]
+    for policy in policies:
+        for seed in (7, 2 ** 40 + 3, 2 ** 130 + 5):
+            for max_epochs in (2, simulate.MAX_EPOCHS):
+                got = simulate._simulate_rewards(spec, policy, 60, seed,
+                                                 max_epochs)
+                want = scalar_rewards(spec, policy, seed, range(60),
+                                      max_epochs)
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    # the trajectories on both sides of a block boundary
+    n = simulate._BLOCK + 3
+    rewards, _ = simulate._simulate_rewards(spec, policies[1], n, 5,
+                                            simulate.MAX_EPOCHS)
+    near = range(n - 6, n)
+    assert np.array_equal(rewards[n - 6:],
+                          scalar_rewards(spec, policies[1], 5, near)[0])
+    # many small blocks give the same numbers
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    small = simulate._simulate_rewards(spec, policies[1], 30, 5,
+                                       simulate.MAX_EPOCHS)
+    assert np.array_equal(small[0], rewards[:30])
+    assert np.array_equal(small[0],
+                          scalar_rewards(spec, policies[1], 5, range(30))[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_spawn_keys_match_numpy():
+    index = np.array([0, 1, 2, 16_383, 16_384, 2 ** 32 - 1])
+    for seed in (0, 7, 88, 2 ** 32, 2 ** 40 + 3, 2 ** 130 + 5):
+        keys = simulate._spawn_keys(seed, index)
+        for j, i in enumerate(index):
+            state = np.random.Philox(np.random.SeedSequence(
+                seed, spawn_key=(int(i),))).state["state"]
+            assert np.array_equal(keys[:, j], state["key"])
+    with pytest.raises(ValueError, match="seed"):
+        simulate._spawn_keys(-1, index)
+
+
+class ConstantDraws:
+    """Stub generator: every uniform draw returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, draw=None, rows=None):
+        return self.u if rows is None else np.full(len(rows), self.u)
+
+
+def test_sample_index_is_clamped_to_last_possible_state():
+    # rows summing to 1 - 5e-10 pass validation; a draw above their last
+    # cumsum must land on the last entry with positive probability
+    spec = validate_model(DiscreteModelSpec(
+        variant=Variant.BASE,
+        n_patient=3, death_index=2,
+        n_organ=3, no_offer_index=2,
+        transition=np.array([[0.7, 0.2999999995, 0.0], [0.0, 0.8, 0.2],
+                             [0.0, 0.0, 1.0]]),
+        offer_prob=np.tile([0.3, 0.3, 0.3999999995], (3, 1)),
+        wait_reward=np.array([1.0, 0.6, 0.0]),
+        transplant_reward=np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 0.0],
+                                    [0.0, 0.0, 0.0]]),
+        discount=0.9,
+    ))
+    policy = wait_policy(spec)
+    draws = ConstantDraws(1.0 - 1e-12)
+    rec = simulate_trajectory(spec, policy, draws, record_path=True)
+    assert rec.states == [0, 1] and rec.offers == [2, 2]
+    assert rec.terminal == "death" and rec.reward == 1.0 + 0.9 * 0.6
+    rewards, truncated = simulate._rollout(spec, policy, draws, 4,
+                                           simulate.MAX_EPOCHS)
+    assert np.all(rewards == rec.reward) and truncated == 0
+
+
+def test_sample_size_is_validated():
+    spec = deterministic_chain()
+    for n in (0, -3, 2 ** 32):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            estimate_policy_value(spec, wait_policy(spec), n, seed=1)
 
 
 # --- continuous time ----------------------------------------------------------
