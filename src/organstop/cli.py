@@ -29,34 +29,52 @@ EXIT_TRUNCATED = 4
 EXIT_USAGE = 5
 
 
+_OPTIONS = {
+    "--tol": dict(type=float, default=1e-8, help="solver residual target"),
+    "--max-iters": dict(type=int, default=100_000,
+                        help="value-iteration cap"),
+    "--trajectories": dict(type=int, default=10_000,
+                           help="simulation sample size"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--t-max": dict(type=float, default=10.0,
+                    help="time horizon for continuous curves"),
+    "--grid-step": dict(type=float, default=0.01,
+                        help="time-grid step for continuous curves"),
+    "--format": dict(choices=["csv"], default=None,
+                     help="also write the curve as CSV next to the output"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad usage exits EXIT_USAGE; argparse's own 2 means validation here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _parser():
-    p = argparse.ArgumentParser(
-        prog="organstop",
-        description="Solve and analyze organ-acceptance stopping models.")
+    p = _Parser(prog="organstop",
+                description="Solve and analyze organ-acceptance stopping models.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("solve", "value-iterate a model document"),
-        ("analyze", "extract policy structure from a model or solve output"),
-        ("simulate", "Monte Carlo evaluation of the solved policy"),
-        ("continuous", "continuous-time threshold curve and critical times"),
-        ("plot", "render a results document as SVG or CSV"),
+    solver = ("--tol", "--max-iters")
+    for name, handler, helptext, options in [
+        ("solve", cmd_solve, "value-iterate a model document", solver),
+        ("analyze", cmd_analyze,
+         "extract policy structure from a model or solve output", solver),
+        ("simulate", cmd_simulate, "Monte Carlo evaluation of the solved policy",
+         solver + ("--trajectories", "--seed")),
+        ("continuous", cmd_continuous,
+         "continuous-time threshold curve and critical times",
+         ("--t-max", "--grid-step", "--format")),
+        ("plot", cmd_plot, "render a results document as SVG", ()),
     ]:
         q = sub.add_parser(name, help=helptext)
+        q.set_defaults(handler=handler)
         q.add_argument("--input", required=True, help="input document path")
         q.add_argument("--output", required=True, help="output path")
-        q.add_argument("--tol", type=float, default=1e-8,
-                       help="solver residual target")
-        q.add_argument("--max-iters", type=int, default=100_000,
-                       help="value-iteration cap")
-        q.add_argument("--trajectories", type=int, default=10_000,
-                       help="simulation sample size")
-        q.add_argument("--seed", type=int, default=0, help="master seed")
-        q.add_argument("--format", choices=["csv", "svg", "json"],
-                       default=None, help="output format where applicable")
-        q.add_argument("--grid-step", type=float, default=0.01,
-                       help="time-grid step for continuous curves")
-        q.add_argument("--t-max", type=float, default=10.0,
-                       help="time horizon for continuous curves")
+        for flag in options:
+            q.add_argument(flag, **_OPTIONS[flag])
     return p
 
 
@@ -185,16 +203,9 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    handler = {
-        "solve": cmd_solve,
-        "analyze": cmd_analyze,
-        "simulate": cmd_simulate,
-        "continuous": cmd_continuous,
-        "plot": cmd_plot,
-    }[args.command]
     try:
-        return handler(args)
+        args = _parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except docio.DocumentError as exc:

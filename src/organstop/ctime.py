@@ -23,20 +23,14 @@ TRUNCATION_SURVIVAL = 1e-6
 # offer-value distributions
 
 class OfferDistribution:
-    """Distribution of offer values on a bounded positive support."""
+    """Distribution of offer values on a bounded positive support.
+
+    The threshold recursions read the distribution only through
+    ``excess_integral``; simulation reads ``sample``.
+    """
 
     lower: float
     upper: float
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def tail_value_integral(self, c) -> float:
-        """E[X ; X > c] = integral of x dF(x) over (c, infinity)."""
-        raise NotImplementedError
 
     def excess_integral(self, c) -> float:
         """E[(X - c)+] = integral of (1 - F(x)) dx over (c, infinity)."""
@@ -74,18 +68,6 @@ class FiniteOffers(OfferDistribution):
     def upper(self):
         return float(self.values[0])
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x[..., None] >= self.values, self.probs, 0.0).sum(axis=-1)
-
-    def mean(self):
-        return float(self.values @ self.probs)
-
-    def tail_value_integral(self, c):
-        c = np.asarray(c, dtype=float)
-        take = self.values > c[..., None]
-        return (np.where(take, self.values * self.probs, 0.0)).sum(axis=-1)
-
     def excess_integral(self, c):
         c = np.asarray(c, dtype=float)
         gaps = np.clip(self.values - c[..., None], 0.0, None)
@@ -112,17 +94,6 @@ class UniformOffers(OfferDistribution):
     def upper(self):
         return self.high
 
-    def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.low)
-                       / (self.high - self.low), 0.0, 1.0)
-
-    def mean(self):
-        return 0.5 * (self.low + self.high)
-
-    def tail_value_integral(self, c):
-        c = np.clip(np.asarray(c, dtype=float), self.low, self.high)
-        return (self.high ** 2 - c ** 2) / (2.0 * (self.high - self.low))
-
     def excess_integral(self, c):
         c = np.asarray(c, dtype=float)
         c_in = np.clip(c, self.low, self.high)
@@ -147,31 +118,6 @@ class ContinuousOffers(OfferDistribution):
     @property
     def upper(self):
         return self.support[1]
-
-    def cdf(self, x):
-        def one(c):
-            if c <= self.lower:
-                return 0.0
-            if c >= self.upper:
-                return 1.0
-            val, _ = integrate.quad(self.pdf, self.lower, c, epsabs=QUAD_TOL)
-            return min(val, 1.0)
-        return np.vectorize(one)(x)[()]
-
-    def mean(self):
-        val, _ = integrate.quad(lambda x: x * self.pdf(x), self.lower,
-                                self.upper, epsabs=QUAD_TOL)
-        return val
-
-    def tail_value_integral(self, c):
-        def one(c0):
-            lo = max(c0, self.lower)
-            if lo >= self.upper:
-                return 0.0
-            val, _ = integrate.quad(lambda x: x * self.pdf(x), lo, self.upper,
-                                    epsabs=QUAD_TOL)
-            return val
-        return np.vectorize(one)(c)[()]
 
     def excess_integral(self, c):
         def one(c0):
@@ -201,13 +147,6 @@ class Lifetime:
     """Remaining-lifetime distribution wrapping a frozen scipy distribution."""
 
     dist: object
-    ifr: bool = False
-
-    def cdf(self, t):
-        return self.dist.cdf(t)
-
-    def pdf(self, t):
-        return self.dist.pdf(t)
 
     def survival(self, t):
         return self.dist.sf(t)
@@ -229,11 +168,11 @@ class Lifetime:
 
 
 def exponential_lifetime(rate: float) -> Lifetime:
-    return Lifetime(stats.expon(scale=1.0 / rate), ifr=True)
+    return Lifetime(stats.expon(scale=1.0 / rate))
 
 
 def erlang_lifetime(shape: int, rate: float) -> Lifetime:
-    return Lifetime(stats.erlang(int(shape), scale=1.0 / rate), ifr=True)
+    return Lifetime(stats.erlang(int(shape), scale=1.0 / rate))
 
 
 @dataclass(frozen=True)
@@ -242,9 +181,6 @@ class DeterministicInterarrival:
 
     def cdf(self, s):
         return (np.asarray(s, dtype=float) >= self.gap).astype(float)
-
-    def mean(self):
-        return self.gap
 
     def sample(self, rng, n):
         return np.full(n, self.gap)
@@ -256,9 +192,6 @@ class ScipyInterarrival:
 
     def cdf(self, s):
         return self.dist.cdf(s)
-
-    def mean(self):
-        return float(self.dist.mean())
 
     def sample(self, rng, n):
         return self.dist.rvs(size=n, random_state=rng)
@@ -339,14 +272,15 @@ class ContinuousModelSpec:
 class ThresholdCurve:
     """Continuation value lambda(t) on a time grid, linearly interpolated.
 
-    Beyond the last grid point the curve is 0 (the backward boundary);
-    before the first it is clamped at lambda(times[0]).
+    The horizon ends at the last grid time: beyond it the curve is 0, and
+    the recursions count an offer arriving after it as worth nothing (the
+    backward boundary of both the ODE and the renewal equation).  Before
+    the first grid time the curve is clamped at lambda(times[0]).
     """
 
     times: np.ndarray
     values: np.ndarray
     truncated: bool = False
-    critical_times: np.ndarray | None = None
 
     def __call__(self, t):
         return np.interp(t, self.times, self.values,
@@ -360,9 +294,9 @@ class ThresholdCurve:
 # fixed arrival instants
 
 def _offer_value_expectation(offers, lam, beta):
-    """E[max(beta * X, lam)] = lam F(lam/beta) + beta * E[X ; X > lam/beta]."""
+    """E[max(beta * X, lam)] = lam + beta * E[(X - lam/beta)+]."""
     c = np.asarray(lam, dtype=float) / beta
-    return lam * offers.cdf(c) + beta * offers.tail_value_integral(c)
+    return lam + beta * offers.excess_integral(c)
 
 
 def finite_horizon_thresholds(spec: ContinuousModelSpec,
@@ -396,7 +330,7 @@ def infinite_horizon_limit(offers: OfferDistribution,
 
     ``step_discount`` is the per-arrival discount ratio beta(U_{j+1}) /
     beta(U_j); with stationary data (scalar alpha and ratio) the limit
-    gamma solves gamma = alpha * delta * (gamma F(gamma) + E[X ; X > gamma])
+    gamma solves gamma = alpha * delta * (gamma + E[(X - gamma)+])
     and the optimal rule accepts iff the offer exceeds gamma.  Sequence
     inputs take the flagged slower path: the tail (last values, repeated) is
     solved as a fixed point and the finite prefix recursed backward from it,
@@ -407,8 +341,7 @@ def infinite_horizon_limit(offers: OfferDistribution,
     stationary = alpha_arr.size == 1 and delta_arr.size == 1
 
     def phi(gamma, a, d):
-        return a * d * (gamma * offers.cdf(gamma)
-                        + offers.tail_value_integral(gamma))
+        return a * d * (gamma + offers.excess_integral(gamma))
 
     def stationary_root(a, d):
         if a * d == 0.0:
@@ -441,9 +374,10 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
     """Solve the renewal-arrival integral equation backward on a grid.
 
     lambda(t) = integral over interarrival s of
-    Gbar(s | t) * E[max(beta(t+s) X, lambda(t+s))] dH(s), taken as 0 for
-    t >= t_max.  Beyond t_max the offer expectation uses lambda = 0 (accept
-    anything).  Under an IFR lifetime the returned curve is nonincreasing.
+    Gbar(s | t) * E[max(beta(t+s) X, lambda(t+s))] dH(s), where an arrival
+    after the last grid time contributes 0 (see :class:`ThresholdCurve`), so
+    lambda is 0 at t_max.  Under an IFR lifetime the returned curve is
+    nonincreasing.
     """
     if not isinstance(spec.arrivals, RenewalArrivals):
         raise ValueError("renewal_lambda requires renewal arrivals")
@@ -454,13 +388,14 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
     n = len(times)
     lam = np.zeros(n)
     inter = spec.arrivals.interarrival
-    betas = np.array([spec.discount_fn(t) for t in times])
 
     def w_at(u_times, lam_interp):
         """offer expectation at times u (vector), using interpolated lambda."""
-        lam_u = np.interp(u_times, times, lam_interp, right=0.0)
+        lam_u = np.interp(u_times, times, lam_interp)
         beta_u = np.array([spec.discount_fn(u) for u in np.atleast_1d(u_times)])
-        return _offer_value_expectation(spec.offers, lam_u, beta_u)
+        return np.where(u_times <= times[-1],
+                        _offer_value_expectation(spec.offers, lam_u, beta_u),
+                        0.0)
 
     if isinstance(inter, DeterministicInterarrival):
         d = inter.gap

@@ -1,8 +1,8 @@
 """Reading and writing model and results documents.
 
-A model document is a JSON object with a required ``model`` section whose
-fields mirror :class:`DiscreteModelSpec`, plus optional ``ambiguity``,
-``risk`` and ``continuous`` sections.  Schema problems raise
+A model document is a JSON object with a ``model`` section whose fields
+mirror :class:`DiscreteModelSpec` and/or a ``continuous`` section; at least
+one of the two is required.  Schema problems raise
 :class:`DocumentError` carrying the offending document path; unknown
 sections or keys only warn, so newer documents still load.
 """
@@ -26,8 +26,6 @@ from .model import (
     Variant,
     validate_model,
 )
-from .risk import RiskSpec
-from .robust import AmbiguitySpec
 
 SIGNIFICANT_DIGITS = 12
 
@@ -42,9 +40,7 @@ class DocumentError(ValueError):
 
 @dataclass
 class ModelDocument:
-    spec: DiscreteModelSpec
-    ambiguity: AmbiguitySpec | None = None
-    risk: RiskSpec | None = None
+    spec: DiscreteModelSpec | None = None
     continuous: ctime.ContinuousModelSpec | None = None
 
 
@@ -54,7 +50,7 @@ _MODEL_KEYS = {
     "discount", "patient_orientation", "organ_orientation",
     "living_donor_state", "success_prob", "success_reward",
 }
-_KNOWN_SECTIONS = {"model", "ambiguity", "risk", "continuous"}
+_KNOWN_SECTIONS = {"model", "continuous"}
 
 
 def _require(obj, key, path, kind=None):
@@ -230,26 +226,9 @@ def parse_document(doc: dict, path: str = "$") -> ModelDocument:
             warnings.warn(f"ignoring unknown document section {key!r}")
     if "model" not in doc and "continuous" not in doc:
         raise DocumentError(path, "document needs a model or continuous section")
-    out = ModelDocument(spec=None)
+    out = ModelDocument()
     if "model" in doc:
         out.spec = parse_model_section(doc["model"])
-    if "ambiguity" in doc:
-        try:
-            out.ambiguity = AmbiguitySpec(
-                np.asarray(_require(doc["ambiguity"], "levels", "ambiguity"),
-                           dtype=float))
-        except ValueError as exc:
-            raise DocumentError("ambiguity", str(exc)) from None
-    if "risk" in doc:
-        section = doc["risk"]
-        try:
-            out.risk = RiskSpec(
-                risk_coefficient=float(_require(section, "risk_coefficient",
-                                                "risk")),
-                lifetime_pmf=np.asarray(_require(section, "lifetime_pmf",
-                                                 "risk"), dtype=float))
-        except ValueError as exc:
-            raise DocumentError("risk", str(exc)) from None
     if "continuous" in doc:
         out.continuous = parse_continuous_section(doc["continuous"])
     return out

@@ -327,9 +327,12 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
         errors.append("living donor forbidden for Base")
 
     if spec.variant is Variant.CONTINUOUS_ANALOG:
-        if (spec.success_prob is None) != (spec.success_reward is None):
-            errors.append("success_prob and success_reward must be given together")
-        elif spec.success_prob is not None:
+        missing = [name for name in ("success_prob", "success_reward")
+                   if getattr(spec, name) is None]
+        if missing:
+            errors.append(f"{' and '.join(missing)} required for "
+                          f"{spec.variant.value}")
+        else:
             p = np.asarray(spec.success_prob, dtype=float)
             if p.shape != (H, K):
                 errors.append(f"success_prob: shape {p.shape}, expected {(H, K)}")

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, strategies as st
+from scipy import integrate, special, stats
 
 from organstop import (
     ContinuousModelSpec,
@@ -27,6 +28,7 @@ from organstop import (
     poisson_lambda_ode,
     renewal_lambda,
 )
+from organstop.ctime import _offer_value_expectation
 
 
 # --- offer distributions ----------------------------------------------------
@@ -35,23 +37,14 @@ def test_uniform_offers_against_quadrature():
     off = UniformOffers(0.2, 1.4)
     pdf = lambda x: 1.0 / 1.2
     for c in [0.0, 0.2, 0.5, 1.0, 1.4, 2.0]:
-        tail, _ = integrate.quad(lambda x: x * pdf(x), max(c, 0.2), 1.4)
         exc, _ = integrate.quad(lambda x: (x - c) * pdf(x), max(c, 0.2), 1.4)
-        assert off.tail_value_integral(np.asarray(c)) == pytest.approx(
-            tail if c < 1.4 else 0.0, abs=1e-12)
         assert off.excess_integral(np.asarray(c)) == pytest.approx(
             exc if c < 1.4 else 0.0, abs=1e-12)
-    assert off.mean() == pytest.approx(0.8)
-    assert off.cdf(0.8) == pytest.approx(0.5)
 
 
 def test_finite_offers_hand_values():
     off = FiniteOffers(values=np.array([3.0, 2.0, 1.0]),
                        probs=np.array([0.2, 0.3, 0.5]))
-    assert off.mean() == pytest.approx(3 * 0.2 + 2 * 0.3 + 1 * 0.5)
-    assert off.cdf(np.asarray(2.5)) == pytest.approx(0.8)  # P(X <= 2.5)
-    assert off.tail_value_integral(np.asarray(1.5)) == pytest.approx(
-        3 * 0.2 + 2 * 0.3)
     assert off.excess_integral(np.asarray(1.5)) == pytest.approx(
         1.5 * 0.2 + 0.5 * 0.3)
 
@@ -67,11 +60,61 @@ def test_generic_offers_match_uniform():
     gen = ContinuousOffers(pdf=lambda x: 1.0, support=(0.0, 1.0))
     uni = UniformOffers(0.0, 1.0)
     for c in [0.0, 0.3, 0.9]:
-        assert gen.tail_value_integral(c) == pytest.approx(
-            uni.tail_value_integral(np.asarray(c)), abs=1e-9)
         assert gen.excess_integral(c) == pytest.approx(
             uni.excess_integral(np.asarray(c)), abs=1e-9)
-    assert gen.mean() == pytest.approx(0.5, abs=1e-10)
+
+
+# E[max(beta X, lam)] is read only through E[(X - c)+]; check it against the
+# expectation written out directly, for lam >= 0 and beta in (0, 1].
+lams = st.floats(0.0, 20.0)
+betas = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def quad_value_expectation(pdf, lo, hi, lam, beta):
+    """Quadrature of max(beta x, lam) f(x) over [lo, hi], split at the kink."""
+    kink = lam / beta
+    points = [kink] if lo < kink < hi else None
+    val, _ = integrate.quad(lambda x: max(beta * x, lam) * pdf(x), lo, hi,
+                            points=points, epsabs=1e-13, epsrel=1e-13)
+    return val
+
+
+@st.composite
+def finite_offers(draw):
+    values = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6,
+                           unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values),
+                            max_size=len(values)))
+    probs = np.array(weights) / sum(weights)
+    return FiniteOffers(np.sort(values)[::-1], probs)
+
+
+@given(finite_offers(), lams, betas)
+def test_offer_value_expectation_finite_is_the_direct_sum(off, lam, beta):
+    direct = float(off.probs @ np.maximum(beta * off.values, lam))
+    assert abs(_offer_value_expectation(off, lam, beta) - direct) <= 1e-12
+
+
+@given(st.floats(0.0, 5.0), st.floats(0.1, 5.0), lams, betas)
+def test_offer_value_expectation_uniform_matches_quadrature(low, width, lam,
+                                                            beta):
+    off = UniformOffers(low, low + width)
+    exact = quad_value_expectation(lambda x: 1.0 / width, off.lower,
+                                   off.upper, lam, beta)
+    assert abs(_offer_value_expectation(off, lam, beta) - exact) <= 1e-12
+
+
+@given(st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(-2.0, 2.0), lams,
+       betas)
+def test_offer_value_expectation_generic_matches_quadrature(low, width, rate,
+                                                            lam, beta):
+    # truncated exponential density exp(-rate x) on [low, low + width]
+    high = low + width
+    mass = math.exp(-rate * low) * width * special.exprel(-rate * width)
+    pdf = lambda x: math.exp(-rate * x) / mass
+    off = ContinuousOffers(pdf=pdf, support=(low, high))
+    exact = quad_value_expectation(pdf, low, high, lam, beta)
+    assert abs(_offer_value_expectation(off, lam, beta) - exact) <= 1e-12
 
 
 # --- lifetimes ---------------------------------------------------------------
@@ -191,6 +234,25 @@ def test_ode_and_renewal_agree_for_poisson_arrivals():
         t_max=12.0, step=0.05)
     early = ode.times <= 6.0
     assert np.max(np.abs(ode.values[early] - ren.values[early])) < 2e-3
+
+
+@pytest.mark.parametrize("life", [exponential_lifetime(0.5),
+                                  erlang_lifetime(3, 1.0)],
+                         ids=["exponential", "erlang"])
+def test_ode_and_renewal_agree_up_to_t_max(life):
+    # both count an offer after the last grid time as worth nothing
+    offers = UniformOffers(0.0, 1.0)
+    ode = poisson_lambda_ode(
+        ContinuousModelSpec(offers=offers, arrivals=PoissonArrivals(1.0),
+                            lifetime=life),
+        t_max=12.0, step=0.05)
+    ren = renewal_lambda(
+        ContinuousModelSpec(offers=offers,
+                            arrivals=RenewalArrivals(exponential_interarrival(1.0)),
+                            lifetime=life),
+        t_max=12.0, step=0.05)
+    assert ren.values[-1] == 0.0
+    assert np.max(np.abs(ode.values - ren.values)) < 2e-4
 
 
 def test_truncation_flag():

@@ -10,7 +10,8 @@ from organstop.ctime import FixedInstants, PoissonArrivals, UniformOffers
 from organstop.docio import DocumentError
 from organstop.svgplot import render_curve_svg, render_region_svg
 
-from helpers import random_base_spec, random_living_donor_spec
+from helpers import (random_analog_spec, random_base_spec,
+                     random_living_donor_spec)
 
 
 def model_doc(spec):
@@ -56,24 +57,40 @@ def test_bad_probability_row_names_path():
 
 
 def test_unknown_sections_warn_but_load():
-    doc = model_doc(random_base_spec(np.random.default_rng(4)))
+    spec = random_base_spec(np.random.default_rng(4))
+    doc = model_doc(spec)
     doc["future_extension"] = {"x": 1}
+    doc["ambiguity"] = {"levels": [0.1] * spec.n_patient}
+    doc["risk"] = {"risk_coefficient": 0.5,
+                   "lifetime_pmf": np.full(
+                       (spec.n_patient, spec.n_organ, 2), 0.5).tolist()}
     doc["model"]["annotations"] = "hi"
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         parsed = docio.parse_document(doc)
     assert parsed.spec is not None
+    warned = " ".join(str(w.message) for w in record)
+    for name in ("future_extension", "ambiguity", "risk", "annotations"):
+        assert name in warned
 
 
 def test_ambiguity_and_risk_sections():
+    # No command reads these sections, so the document parser does not
+    # either: the model parses as it does without them.
     spec = random_base_spec(np.random.default_rng(5))
     doc = model_doc(spec)
     doc["ambiguity"] = {"levels": [0.1] * spec.n_patient}
     doc["risk"] = {"risk_coefficient": 0.5,
                    "lifetime_pmf": np.full(
                        (spec.n_patient, spec.n_organ, 2), 0.5).tolist()}
-    parsed = docio.parse_document(doc)
-    assert parsed.ambiguity.levels[0] == 0.1
-    assert parsed.risk.risk_coefficient == 0.5
+    with pytest.warns(UserWarning, match="ambiguity|risk"):
+        parsed = docio.parse_document(doc)
+    assert not hasattr(parsed, "ambiguity") and not hasattr(parsed, "risk")
+    assert parsed.continuous is None
+    plain = docio.parse_document(model_doc(spec)).spec
+    np.testing.assert_array_equal(parsed.spec.transition, plain.transition)
+    np.testing.assert_array_equal(parsed.spec.transplant_reward,
+                                  plain.transplant_reward)
+    assert not hasattr(docio, "robust") and not hasattr(docio, "risk")
 
 
 def test_continuous_section_families():
@@ -161,6 +178,17 @@ def test_cli_solve_rejects_nan(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_cli_analog_without_success_fields_is_validation_error(tmp_path,
+                                                                capsys):
+    doc = model_doc(random_analog_spec(np.random.default_rng(12)))
+    del doc["model"]["success_prob"], doc["model"]["success_reward"]
+    inp = write_doc(tmp_path, doc)
+    code = cli.main(["simulate", "--input", inp,
+                     "--output", str(tmp_path / "o.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "success_prob and success_reward required" in capsys.readouterr().err
+
+
 def test_cli_solve_non_convergence_exit_code(tmp_path):
     spec = random_base_spec(np.random.default_rng(8), discount=0.95)
     inp = write_doc(tmp_path, model_doc(spec))
@@ -173,6 +201,18 @@ def test_cli_solve_non_convergence_exit_code(tmp_path):
 def test_cli_missing_input(tmp_path):
     assert cli.main(["solve", "--input", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path / "o.json")]) == cli.EXIT_USAGE
+
+
+def test_cli_usage_errors_exit_usage(tmp_path, capsys):
+    assert cli.main(["solve"]) == cli.EXIT_USAGE
+    assert "--input" in capsys.readouterr().err
+    inp = write_doc(tmp_path, {"kind": "structure_results",
+                               "policy": [[0, 1], [1, 0]]})
+    out = tmp_path / "plot.svg"
+    assert cli.main(["plot", "--input", inp, "--output", str(out),
+                     "--tol", "1"]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_solve_analyze_plot_pipeline(tmp_path):

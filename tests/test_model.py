@@ -120,6 +120,15 @@ def test_non_finite_input_is_rejected(field, index, bad):
     assert f"{field}: non-finite entry {bad}{at}" in errors
 
 
+@pytest.mark.parametrize("missing", [("success_prob",), ("success_reward",),
+                                     ("success_prob", "success_reward")],
+                         ids=["prob", "reward", "both"])
+def test_analog_requires_success_fields(missing):
+    spec = random_analog_spec(np.random.default_rng(0))
+    errors = validation_errors(replace(spec, **dict.fromkeys(missing)))
+    assert f"{' and '.join(missing)} required for continuous_analog" in errors
+
+
 def test_validate_model_raises_and_seals():
     with pytest.raises(ModelValidationError):
         validate_model(tiny_spec(discount=1.5))
