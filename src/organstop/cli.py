@@ -4,7 +4,8 @@ Exit codes:
   0  success
   2  document or model validation error
   3  solver did not reach the residual target
-  4  continuous-time computation truncated or hit a stiffness guard
+  4  continuous-time computation truncated, hit a stiffness guard or gave a
+     non-finite curve
   5  usage error: missing file, unknown document kind, bad options
 """
 
@@ -136,7 +137,7 @@ def cmd_simulate(args) -> int:
     est = simulate.estimate_policy_value(doc.spec, policy, args.trajectories,
                                          args.seed)
     out = docio.simulate_results_document(est)
-    out["solver_value"] = docio._round_sig(float(_initial_value(doc.spec, vf)))
+    out["solver_value"] = float(_initial_value(doc.spec, vf))
     docio.dump_document(out, args.output)
     return EXIT_OK
 
@@ -167,6 +168,10 @@ def cmd_continuous(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TRUNCATED
         truncated = curve.truncated
+    if not np.isfinite(curve.values).all():
+        print("error: the threshold curve has non-finite values",
+              file=sys.stderr)
+        return EXIT_TRUNCATED
 
     critical = offer_values = None
     if isinstance(cspec.offers, ctime.FiniteOffers) and curve.is_nonincreasing():

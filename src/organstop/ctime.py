@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, stats
 
 QUAD_TOL = 1e-10
 TRUNCATION_SURVIVAL = 1e-6
@@ -120,12 +119,14 @@ class ContinuousOffers(OfferDistribution):
         return self.support[1]
 
     def excess_integral(self, c):
+        from scipy.integrate import quad
+
         def one(c0):
             lo = max(c0, self.lower)
             if lo >= self.upper:
                 return 0.0
-            val, _ = integrate.quad(lambda x: (x - c0) * self.pdf(x), lo,
-                                    self.upper, epsabs=QUAD_TOL)
+            val, _ = quad(lambda x: (x - c0) * self.pdf(x), lo, self.upper,
+                          epsabs=QUAD_TOL)
             return val
         return np.vectorize(one)(c)[()]
 
@@ -167,12 +168,17 @@ class Lifetime:
         return self.dist.rvs(size=n, random_state=rng)
 
 
+# scipy is imported where it is used, so that discrete-only callers (most
+# CLI commands) never load it
+
 def exponential_lifetime(rate: float) -> Lifetime:
-    return Lifetime(stats.expon(scale=1.0 / rate))
+    from scipy.stats import expon
+    return Lifetime(expon(scale=1.0 / rate))
 
 
 def erlang_lifetime(shape: int, rate: float) -> Lifetime:
-    return Lifetime(stats.erlang(int(shape), scale=1.0 / rate))
+    from scipy.stats import erlang
+    return Lifetime(erlang(int(shape), scale=1.0 / rate))
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,8 @@ class ScipyInterarrival:
 
 
 def exponential_interarrival(rate: float) -> ScipyInterarrival:
-    return ScipyInterarrival(stats.expon(scale=1.0 / rate))
+    from scipy.stats import expon
+    return ScipyInterarrival(expon(scale=1.0 / rate))
 
 
 @dataclass(frozen=True)
@@ -294,8 +301,15 @@ class ThresholdCurve:
 # fixed arrival instants
 
 def _offer_value_expectation(offers, lam, beta):
-    """E[max(beta * X, lam)] = lam + beta * E[(X - lam/beta)+]."""
-    c = np.asarray(lam, dtype=float) / beta
+    """E[max(beta * X, lam)] = lam + beta * E[(X - lam/beta)+].
+
+    Where the discount beta is 0 this is lam, the exact limit, since offer
+    support is bounded (an underflowing exponential discount gets there).
+    """
+    beta = np.asarray(beta, dtype=float)
+    live = beta > 0
+    c = np.where(live, np.asarray(lam, dtype=float) / np.where(live, beta, 1.0),
+                 offers.upper)
     return lam + beta * offers.excess_integral(c)
 
 
@@ -350,7 +364,8 @@ def infinite_horizon_limit(offers: OfferDistribution,
         g = lambda x: x - phi(x, a, d)
         if g(hi) <= 0:
             return hi
-        return float(optimize.brentq(g, 0.0, hi, xtol=tol))
+        from scipy.optimize import brentq
+        return float(brentq(g, 0.0, hi, xtol=tol))
 
     if stationary:
         return stationary_root(float(alpha_arr[0]), float(delta_arr[0]))
@@ -472,6 +487,8 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
         if not np.isfinite(r) or r > 1e6:
             raise StiffnessError(f"failure rate {r:.3g} at t={t:.6g} exceeds 1e6")
         beta = spec.discount_fn(t)
+        if beta == 0.0:  # an underflowed discount: offers are worth nothing
+            return r * lam
         return r * lam - beta * rate_fn(t) \
             * float(spec.offers.excess_integral(np.asarray(lam / beta)))
 

@@ -245,30 +245,97 @@ def load_document(path: str) -> ModelDocument:
 
 # ---------------------------------------------------------------------------
 # writing
+#
+# Result documents are plain dicts whose array fields stay ndarrays.
+# ``dump_document`` writes them as ``json.dump(..., indent=2)`` would write
+# their list form, with every float rounded to SIGNIFICANT_DIGITS and
+# booleans as ``true``/``false``; an ndarray is written a whole array at a
+# time, formatting each distinct value once.
 
-def _round_sig(x: float) -> float:
-    if x == 0 or not math.isfinite(x):
-        return x
-    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
+def _float_text(x: float) -> str:
+    """JSON text of ``x`` rounded to SIGNIFICANT_DIGITS significant digits."""
+    if math.isfinite(x):
+        return repr(float(f"{x:.{SIGNIFICANT_DIGITS}g}"))
+    return json.dumps(x)
 
 
-def _jsonable(obj):
+def _scalar_text(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return _float_text(float(x))
+    if isinstance(x, (int, np.integer)):
+        return int.__repr__(int(x))
+    return json.dumps(x)
+
+
+def _array_texts(a: np.ndarray) -> list[str]:
+    """Text of every element of ``a`` in C order."""
+    if a.dtype.kind == "f":
+        flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
+        # unique by bit pattern: keeps -0.0 apart from 0.0
+        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        texts = [_float_text(x) for x in bits.view(np.float64).tolist()]
+    else:
+        values, inverse = np.unique(a.ravel(), return_inverse=True)
+        texts = [_scalar_text(x) for x in values.tolist()]
+    return np.array(texts, dtype=object)[inverse.ravel()].tolist()
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """``a`` as nested JSON lists at nesting ``level``, laid out by indent=2.
+
+    Two consecutive elements are joined by the separator of the outermost
+    axis ``d`` that steps between them: it closes the lists of the axes
+    after ``d``, steps along ``d`` and reopens them.
+    """
+    ind = ["\n" + "  " * (level + d) for d in range(a.ndim + 1)]
+    if a.size == 0:
+        if a.shape[0] == 0:
+            return "[]"
+        inner = _array_text(a[0], level + 1)
+        return "[" + ind[1] + ("," + ind[1]).join([inner] * len(a)) + ind[0] + "]"
+    texts = _array_texts(a)
+    seps = [""] * (len(texts) - 1)
+    block = 1
+    for d in range(a.ndim - 1, -1, -1):
+        closes = "".join(ind[e] + "]" for e in range(a.ndim - 1, d, -1))
+        opens = "".join("[" + ind[e + 1] for e in range(d + 1, a.ndim))
+        sep = closes + "," + ind[d + 1] + opens
+        seps[block - 1::block] = [sep] * (len(seps) // block)
+        block *= a.shape[d]
+    parts = [""] * (2 * len(texts) - 1)
+    parts[0::2] = texts
+    parts[1::2] = seps
+    return ("".join("[" + ind[d + 1] for d in range(a.ndim)) + "".join(parts)
+            + "".join(ind[d] + "]" for d in range(a.ndim - 1, -1, -1)))
+
+
+def _chunks(obj, level: int = 0):
+    """JSON text of ``obj`` at nesting ``level``, in pieces."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if obj.ndim and obj.dtype.kind in "biuf":
+            yield _array_text(obj, level)
+            return
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, float)):
-        return _round_sig(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+        items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [("", v) for v in obj], "[]"
+    else:
+        yield _scalar_text(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    inner = "\n" + "  " * (level + 1)
+    for i, (key, value) in enumerate(items):
+        yield ("," if i else brackets[0]) + inner + key
+        yield from _chunks(value, level + 1)
+    yield "\n" + "  " * level + brackets[1]
 
 
-def model_section(spec: DiscreteModelSpec) -> dict:
+def _model_fields(spec: DiscreteModelSpec) -> dict:
     out = {
         "variant": spec.variant.value,
         "n_patient": spec.n_patient,
@@ -288,20 +355,25 @@ def model_section(spec: DiscreteModelSpec) -> dict:
     if spec.success_prob is not None:
         out["success_prob"] = spec.success_prob
         out["success_reward"] = spec.success_reward
-    return _jsonable(out)
+    return out
+
+
+def model_section(spec: DiscreteModelSpec) -> dict:
+    """The model section in plain JSON values, as a document holds it."""
+    return json.loads("".join(_chunks(_model_fields(spec))))
 
 
 def solve_results_document(spec, value_function, policy) -> dict:
-    return _jsonable({
+    return {
         "kind": "solve_results",
-        "model": model_section(spec),
+        "model": _model_fields(spec),
         "values": value_function.values,
         "marginal_values": value_function.marginal,
         "policy": policy.actions,
         "residual": value_function.residual,
         "iterations": value_function.iterations,
         "converged": bool(value_function.converged),
-    })
+    }
 
 
 def _limit_report(report):
@@ -319,7 +391,8 @@ def structure_results_document(spec, policy, report) -> dict:
         "policy": policy.actions,
         "patient_based": _limit_report(report.patient_based),
         "organ_based": _limit_report(report.organ_based),
-        "regions": [{"action": r.action, "cells": list(r.cells)}
+        "regions": [{"action": r.action,
+                     "cells": np.array(r.cells, dtype=np.int64).reshape(-1, 2)}
                     for r in report.regions],
         "region_count": len(report.regions),
     }
@@ -332,7 +405,7 @@ def structure_results_document(spec, policy, report) -> dict:
                        "limits": report.am3r.limits,
                        "region_count": report.am3r.region_count,
                        "disconnected": report.am3r.disconnected}
-    return _jsonable(doc)
+    return doc
 
 
 def simulate_results_document(estimate, trajectories=None) -> dict:
@@ -350,7 +423,7 @@ def simulate_results_document(estimate, trajectories=None) -> dict:
             {"reward": t.reward, "epochs": t.epochs, "terminal": t.terminal,
              "states": t.states, "offers": t.offers, "actions": t.actions}
             for t in trajectories]
-    return _jsonable(doc)
+    return doc
 
 
 def curve_results_document(curve, critical=None, offer_values=None) -> dict:
@@ -363,14 +436,14 @@ def curve_results_document(curve, critical=None, offer_values=None) -> dict:
     }
     if critical is not None:
         doc["offer_values"] = offer_values
-        doc["critical_times"] = ["inf" if math.isinf(t) else _round_sig(t)
+        doc["critical_times"] = ["inf" if math.isinf(t) else t
                                  for t in critical]
-    return _jsonable(doc)
+    return doc
 
 
 def dump_document(doc: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.writelines(_chunks(doc))
         fh.write("\n")
 
 
@@ -380,11 +453,10 @@ def dump_document(doc: dict, path: str) -> None:
 def write_region_csv(path: str, regions) -> None:
     """Region grid as rows (h, k, action, region_id)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "k", "action", "region_id"])
+        fh.write("h,k,action,region_id\r\n")
         for rid, region in enumerate(regions):
-            for h, k in region.cells:
-                writer.writerow([h, k, region.action, rid])
+            tail = f",{region.action},{rid}\r\n"
+            fh.writelines(f"{h},{k}{tail}" for h, k in region.cells)
 
 
 def write_curve_csv(path: str, curve) -> None:

@@ -51,18 +51,20 @@ def render_region_svg(actions: np.ndarray) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for i in range(nh):
-        for j in range(nk):
-            a = int(grid[i, j])
-            x, y = MARGIN + j * CELL, MARGIN + i * CELL
-            color = ACTION_COLORS.get(a, "#000000")
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-                f'fill="{color}" stroke="#333333"/>')
-            parts.append(
-                f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + 5}" '
-                f'text-anchor="middle" font-size="12" fill="white">'
-                f'{ACTION_LABELS.get(a, "?")}</text>')
+    codes = grid.astype(np.int64)
+    present = np.unique(codes).tolist()
+    # each action's cell markup per column; \0 and \1 stand for the row's
+    # rect and label y
+    cells = {a: [f'<rect x="{x}" y="\0" width="{CELL}" height="{CELL}" '
+                 f'fill="{ACTION_COLORS.get(a, "#000000")}" stroke="#333333"/>\n'
+                 f'<text x="{x + CELL // 2}" y="\1" text-anchor="middle" '
+                 f'font-size="12" fill="white">{ACTION_LABELS.get(a, "?")}</text>'
+                 for x in range(MARGIN, MARGIN + nk * CELL, CELL)]
+             for a in present}
+    for i, row in enumerate(codes.tolist() if nk else []):
+        y = MARGIN + i * CELL
+        line = "\n".join([cells[a][j] for j, a in enumerate(row)])
+        parts.append(line.replace("\0", str(y)).replace("\1", str(y + CELL // 2 + 5)))
     # axis labels: patient index down the side, organ index along the top
     for i in range(nh):
         parts.append(f'<text x="{MARGIN - 10}" y="{MARGIN + i * CELL + CELL // 2 + 5}" '
@@ -71,7 +73,6 @@ def render_region_svg(actions: np.ndarray) -> str:
         parts.append(f'<text x="{MARGIN + j * CELL + CELL // 2}" y="{MARGIN - 10}" '
                      f'text-anchor="middle" font-size="12">k={j}</text>')
     legend_x = MARGIN + nk * CELL + 20
-    present = sorted({int(a) for a in grid.ravel()})
     for row, a in enumerate(present):
         y = MARGIN + row * 24
         parts.append(f'<rect x="{legend_x}" y="{y}" width="16" height="16" '

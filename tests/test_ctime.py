@@ -1,6 +1,7 @@
 """Threshold curves: recursion, fixed points, ODE, and critical times."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,42 @@ def test_nonstationary_limit_sequence():
         expected = alphas[j + 1] * (gammas[j + 1] * gammas[j + 1]
                                     + (1 - gammas[j + 1] ** 2) / 2)
         assert gammas[j] == pytest.approx(expected, abs=1e-9)
+
+
+def test_underflowing_discount_keeps_thresholds_finite():
+    # exp(-t) is exactly 0 from t = 746 on: an offer there is worth nothing,
+    # so E[max(beta X, lam)] is lam, not 0/0
+    offers = FiniteOffers(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
+
+    def spec(n):
+        return ContinuousModelSpec(
+            offers=offers, arrivals=FixedInstants(np.arange(1.0, n + 1.0)),
+            survival_alphas=np.full(n, 0.999), discount_fn=lambda t: math.exp(-t))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lam = finite_horizon_thresholds(spec(800))
+    assert np.isfinite(lam).all()
+    assert lam[0] > 0 and (lam[744:] == 0.0).all()
+    # instants past 700 add less than exp(-700) to the early thresholds
+    np.testing.assert_allclose(lam[:600], finite_horizon_thresholds(spec(700))[:600],
+                               rtol=1e-12, atol=0.0)
+    assert np.array_equal(
+        _offer_value_expectation(offers, np.array([0.3, 0.0]), np.zeros(2)),
+        [0.3, 0.0])
+
+
+def test_ode_with_underflowing_discount_stays_finite():
+    # exp(-7t) is exactly 0 past t = 106: the ODE must not divide by it
+    spec = ContinuousModelSpec(offers=UniformOffers(0.0, 1.0),
+                               arrivals=PoissonArrivals(1.0),
+                               lifetime=exponential_lifetime(0.5),
+                               discount_fn=lambda t: math.exp(-7.0 * t))
+    curve = poisson_lambda_ode(spec, 110.0, 1.0)
+    assert np.isfinite(curve.values).all() and curve.values[-1] == 0.0
+    shorter = poisson_lambda_ode(spec, 100.0, 1.0)
+    np.testing.assert_allclose(curve.values[:50], shorter.values[:50],
+                               rtol=1e-12, atol=0.0)
 
 
 # --- renewal and ODE curves --------------------------------------------------

@@ -1,17 +1,21 @@
 """Document parsing, serialization round-trips, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from organstop import cli, docio
+import organstop
+from organstop import Variant, cli, ctime, docio
 from organstop.ctime import FixedInstants, PoissonArrivals, UniformOffers
 from organstop.docio import DocumentError
 from organstop.svgplot import render_curve_svg, render_region_svg
 
 from helpers import (random_analog_spec, random_base_spec,
-                     random_living_donor_spec)
+                     random_living_donor_spec, random_spec)
 
 
 def model_doc(spec):
@@ -114,10 +118,13 @@ def test_unknown_family_is_document_error():
         docio.parse_document(doc)
 
 
-def test_numbers_are_rounded_to_12_significant_digits():
-    assert docio._round_sig(1 / 3) == 0.333333333333
-    out = docio._jsonable({"x": np.float64(2.0 / 3.0)})
-    assert out["x"] == 0.666666666667
+def test_numbers_are_rounded_to_12_significant_digits(tmp_path):
+    path = tmp_path / "doc.json"
+    docio.dump_document({"x": np.float64(2.0 / 3.0), "y": [1 / 3],
+                         "z": np.array([2.0 / 3.0, 1e-20 / 3])}, str(path))
+    out = json.loads(path.read_text())
+    assert out == {"x": 0.666666666667, "y": [0.333333333333],
+                   "z": [0.666666666667, 3.33333333333e-21]}
 
 
 # --- SVG ----------------------------------------------------------------------
@@ -310,3 +317,87 @@ def test_cli_plot_curve_and_csv(tmp_path):
     svg = str(tmp_path / "curve.svg")
     assert cli.main(["plot", "--input", out, "--output", svg]) == 0
     assert "polyline" in open(svg).read()
+
+
+def test_cli_continuous_underflowing_discount(tmp_path):
+    doc = {"continuous": {
+        "offers": {"family": "finite", "values": [1.0, 0.5],
+                   "probs": [0.5, 0.5]},
+        "arrivals": {"kind": "fixed", "times": list(np.arange(1.0, 801.0))},
+        "survival_alphas": [0.999] * 800,
+        "discount": {"kind": "exponential", "rate": 1.0},
+    }}
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "curve.json"
+    assert cli.main(["continuous", "--input", inp, "--output", str(out)]) == 0
+    values = np.array(json.loads(out.read_text())["values"])
+    assert len(values) == 800 and np.isfinite(values).all()
+    inp = write_doc(tmp_path, {"continuous": {
+        "offers": {"family": "uniform", "low": 0.0, "high": 1.0},
+        "arrivals": {"kind": "poisson", "rate": 1.0},
+        "lifetime": {"family": "exponential", "rate": 0.5},
+        "discount": {"kind": "exponential", "rate": 7.0},
+    }}, "poisson.json")
+    assert cli.main(["continuous", "--input", inp, "--output", str(out),
+                     "--t-max", "110", "--grid-step", "1"]) == 0
+    values = np.array(json.loads(out.read_text())["values"])
+    assert len(values) == 111 and np.isfinite(values).all()
+
+
+def test_cli_continuous_non_finite_curve_exits_truncated(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(ctime, "finite_horizon_thresholds",
+                        lambda spec: np.full(len(spec.arrivals.times), np.nan))
+    doc = {"continuous": {
+        "offers": {"family": "finite", "values": [1.0, 0.5],
+                   "probs": [0.5, 0.5]},
+        "arrivals": {"kind": "fixed", "times": [1.0, 2.0, 3.0]},
+        "survival_alphas": [0.9] * 3,
+    }}
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "curve.json"
+    assert cli.main(["continuous", "--input", inp,
+                     "--output", str(out)]) == cli.EXIT_TRUNCATED
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_documents_write_json_booleans(tmp_path):
+    spec = random_spec(np.random.default_rng(13), Variant.COMBINED, 4, 3)
+    inp = write_doc(tmp_path, model_doc(spec))
+    ct = write_doc(tmp_path, {"continuous": {
+        "offers": {"family": "uniform", "low": 0.0, "high": 1.0},
+        "arrivals": {"kind": "poisson", "rate": 1.0},
+        "lifetime": {"family": "exponential", "rate": 0.5},
+    }}, "ct.json")
+    solved, analyzed, curve = (str(tmp_path / name) for name in
+                               ("solved.json", "analysis.json", "curve.json"))
+    assert cli.main(["solve", "--input", inp, "--output", solved]) == 0
+    assert cli.main(["analyze", "--input", solved, "--output", analyzed]) == 0
+    assert cli.main(["continuous", "--input", ct, "--output", curve,
+                     "--t-max", "40", "--grid-step", "0.5"]) == 0
+    s, a, c = (json.loads(open(path).read())
+               for path in (solved, analyzed, curve))
+    flags = [s["converged"], a["patient_based"]["is_control_limit"],
+             a["organ_based"]["is_control_limit"], a["am2ro"]["holds"],
+             a["am3r"]["holds"], a["am3r"]["disconnected"], c["truncated"],
+             c["nonincreasing"]]
+    assert all(type(flag) is bool for flag in flags)
+    assert s["converged"] and c["nonincreasing"] and not c["truncated"]
+
+
+def test_cli_import_and_discrete_solve_load_no_scipy(tmp_path):
+    inp = write_doc(tmp_path, model_doc(random_base_spec(
+        np.random.default_rng(14))))
+    out = str(tmp_path / "o.json")
+    code = ("import sys; from organstop import cli; "
+            "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "print(scipy()); "
+            f"cli.main(['solve', '--input', {inp!r}, '--output', {out!r}]); "
+            "print(scipy())")
+    src = os.path.dirname(os.path.dirname(organstop.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert os.path.exists(out)
