@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
     est = simulate.estimate_policy_value(doc.spec, policy, args.trajectories,
                                          args.seed)
     out = docio.simulate_results_document(est)
-    out["solver_value"] = float(_initial_value(doc.spec, vf))
+    out["solver_value"] = docio.json_data(float(_initial_value(doc.spec, vf)))
     docio.dump_document(out, args.output)
     return EXIT_OK
 

@@ -486,11 +486,9 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
         r = float(lifetime.failure_rate(t))
         if not np.isfinite(r) or r > 1e6:
             raise StiffnessError(f"failure rate {r:.3g} at t={t:.6g} exceeds 1e6")
-        beta = spec.discount_fn(t)
-        if beta == 0.0:  # an underflowed discount: offers are worth nothing
-            return r * lam
-        return r * lam - beta * rate_fn(t) \
-            * float(spec.offers.excess_integral(np.asarray(lam / beta)))
+        # beta * psi(lam / beta) = E[max(beta X, lam)] - lam
+        gain = _offer_value_expectation(spec.offers, lam, spec.discount_fn(t)) - lam
+        return r * lam - rate_fn(t) * float(gain)
 
     def rk4(t, lam, h):
         k1 = rhs(t, lam)

@@ -10,6 +10,7 @@ sections or keys only warn, so newer documents still load.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -246,96 +247,98 @@ def load_document(path: str) -> ModelDocument:
 # ---------------------------------------------------------------------------
 # writing
 #
-# Result documents are plain dicts whose array fields stay ndarrays.
-# ``dump_document`` writes them as ``json.dump(..., indent=2)`` would write
-# their list form, with every float rounded to SIGNIFICANT_DIGITS and
-# booleans as ``true``/``false``; an ndarray is written a whole array at a
-# time, formatting each distinct value once.
+# Result documents are JSON data, as ``json.loads`` would read them back:
+# the builders turn ndarrays into nested lists a whole array at a time, every
+# float rounded to SIGNIFICANT_DIGITS, and ``dump_document`` writes the data
+# exactly as ``json.dump(..., indent=2)`` does, but hands each list of
+# scalars (or list of such lists) to the C encoder in one call.
 
-def _float_text(x: float) -> str:
-    """JSON text of ``x`` rounded to SIGNIFICANT_DIGITS significant digits."""
-    if math.isfinite(x):
-        return repr(float(f"{x:.{SIGNIFICANT_DIGITS}g}"))
-    return json.dumps(x)
+def _round_sig(x: float) -> float:
+    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
 
 
-def _scalar_text(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return _float_text(float(x))
-    if isinstance(x, (int, np.integer)):
-        return int.__repr__(int(x))
-    return json.dumps(x)
+def _array_data(a: np.ndarray):
+    """``json_data(a.tolist())`` a whole array at a time.
 
-
-def _array_texts(a: np.ndarray) -> list[str]:
-    """Text of every element of ``a`` in C order."""
-    if a.dtype.kind == "f":
-        flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
-        # unique by bit pattern: keeps -0.0 apart from 0.0
-        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-        texts = [_float_text(x) for x in bits.view(np.float64).tolist()]
-    else:
-        values, inverse = np.unique(a.ravel(), return_inverse=True)
-        texts = [_scalar_text(x) for x in values.tolist()]
-    return np.array(texts, dtype=object)[inverse.ravel()].tolist()
-
-
-def _array_text(a: np.ndarray, level: int) -> str:
-    """``a`` as nested JSON lists at nesting ``level``, laid out by indent=2.
-
-    Two consecutive elements are joined by the separator of the outermost
-    axis ``d`` that steps between them: it closes the lists of the axes
-    after ``d``, steps along ``d`` and reopens them.
+    Each distinct float is rounded once, and the lists share its object:
+    arrays in result documents hold few distinct values (a 2001-state
+    transition matrix about 12 000 in 4 million).
     """
-    ind = ["\n" + "  " * (level + d) for d in range(a.ndim + 1)]
-    if a.size == 0:
-        if a.shape[0] == 0:
-            return "[]"
-        inner = _array_text(a[0], level + 1)
-        return "[" + ind[1] + ("," + ind[1]).join([inner] * len(a)) + ind[0] + "]"
-    texts = _array_texts(a)
-    seps = [""] * (len(texts) - 1)
-    block = 1
-    for d in range(a.ndim - 1, -1, -1):
-        closes = "".join(ind[e] + "]" for e in range(a.ndim - 1, d, -1))
-        opens = "".join("[" + ind[e + 1] for e in range(d + 1, a.ndim))
-        sep = closes + "," + ind[d + 1] + opens
-        seps[block - 1::block] = [sep] * (len(seps) // block)
-        block *= a.shape[d]
-    parts = [""] * (2 * len(texts) - 1)
-    parts[0::2] = texts
-    parts[1::2] = seps
-    return ("".join("[" + ind[d + 1] for d in range(a.ndim)) + "".join(parts)
-            + "".join(ind[d] + "]" for d in range(a.ndim - 1, -1, -1)))
+    if a.dtype.kind in "biu":
+        return a.tolist()
+    if a.dtype.kind != "f":
+        return json_data(a.tolist())
+    flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
+    # unique by bit pattern: keeps -0.0 apart from 0.0
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    rounded = np.empty(bits.size, dtype=object)
+    rounded[:] = [_round_sig(x) for x in bits.view(np.float64).tolist()]
+    return rounded[inverse].reshape(a.shape).tolist()
+
+
+def json_data(obj):
+    """``obj`` as JSON data: ndarrays and tuples become lists, numpy scalars
+    Python ones, and every float is rounded to SIGNIFICANT_DIGITS digits."""
+    if isinstance(obj, np.ndarray):
+        return _array_data(obj)
+    if isinstance(obj, dict):
+        return {k: json_data(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_data(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _round_sig(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    return obj
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _all_scalars(items) -> bool:
+    return _SCALARS.issuperset(map(type, items))
 
 
 def _chunks(obj, level: int = 0):
-    """JSON text of ``obj`` at nesting ``level``, in pieces."""
-    if isinstance(obj, np.ndarray):
-        if obj.ndim and obj.dtype.kind in "biuf":
-            yield _array_text(obj, level)
-            return
-        obj = obj.tolist()
+    """``json.dumps(obj, indent=2)`` at nesting ``level``, in pieces."""
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if isinstance(obj, (list, tuple)) and obj and _all_scalars(obj):
+        yield "[" + inner
+        yield json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        yield outer + "]"
+        return
+    if (isinstance(obj, (list, tuple)) and obj
+            and {list, tuple}.issuperset(map(type, obj)) and all(obj)
+            and _all_scalars(itertools.chain.from_iterable(obj))):
+        # non-empty rows of scalars: encoded with the innermost separator,
+        # "],<sep>[" only occurs between rows (no scalar ends in "]" or
+        # starts with "["), where it becomes the row separator
+        sep = "," + inner + "  "
+        text = json.dumps(obj, separators=(sep, ": ")).replace(
+            "]" + sep + "[", inner + "]," + inner + "[" + inner + "  ")
+        yield "[" + inner + "[" + inner + "  "
+        yield text[2:-2]
+        yield inner + "]" + outer + "]"
+        return
     if isinstance(obj, dict):
         items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
         items, brackets = [("", v) for v in obj], "[]"
     else:
-        yield _scalar_text(obj)
+        yield json.dumps(obj)
         return
     if not items:
         yield brackets
         return
-    inner = "\n" + "  " * (level + 1)
     for i, (key, value) in enumerate(items):
         yield ("," if i else brackets[0]) + inner + key
         yield from _chunks(value, level + 1)
-    yield "\n" + "  " * level + brackets[1]
+    yield outer + brackets[1]
 
 
-def _model_fields(spec: DiscreteModelSpec) -> dict:
+def model_section(spec: DiscreteModelSpec) -> dict:
     out = {
         "variant": spec.variant.value,
         "n_patient": spec.n_patient,
@@ -355,25 +358,19 @@ def _model_fields(spec: DiscreteModelSpec) -> dict:
     if spec.success_prob is not None:
         out["success_prob"] = spec.success_prob
         out["success_reward"] = spec.success_reward
-    return out
-
-
-def model_section(spec: DiscreteModelSpec) -> dict:
-    """The model section in plain JSON values, as a document holds it."""
-    return json.loads("".join(_chunks(_model_fields(spec))))
+    return json_data(out)
 
 
 def solve_results_document(spec, value_function, policy) -> dict:
-    return {
-        "kind": "solve_results",
-        "model": _model_fields(spec),
-        "values": value_function.values,
-        "marginal_values": value_function.marginal,
-        "policy": policy.actions,
-        "residual": value_function.residual,
-        "iterations": value_function.iterations,
-        "converged": bool(value_function.converged),
-    }
+    return {"kind": "solve_results", "model": model_section(spec),
+            **json_data({
+                "values": value_function.values,
+                "marginal_values": value_function.marginal,
+                "policy": policy.actions,
+                "residual": value_function.residual,
+                "iterations": value_function.iterations,
+                "converged": bool(value_function.converged),
+            })}
 
 
 def _limit_report(report):
@@ -405,7 +402,7 @@ def structure_results_document(spec, policy, report) -> dict:
                        "limits": report.am3r.limits,
                        "region_count": report.am3r.region_count,
                        "disconnected": report.am3r.disconnected}
-    return doc
+    return json_data(doc)
 
 
 def simulate_results_document(estimate, trajectories=None) -> dict:
@@ -423,7 +420,7 @@ def simulate_results_document(estimate, trajectories=None) -> dict:
             {"reward": t.reward, "epochs": t.epochs, "terminal": t.terminal,
              "states": t.states, "offers": t.offers, "actions": t.actions}
             for t in trajectories]
-    return doc
+    return json_data(doc)
 
 
 def curve_results_document(curve, critical=None, offer_values=None) -> dict:
@@ -438,10 +435,11 @@ def curve_results_document(curve, critical=None, offer_values=None) -> dict:
         doc["offer_values"] = offer_values
         doc["critical_times"] = ["inf" if math.isinf(t) else t
                                  for t in critical]
-    return doc
+    return json_data(doc)
 
 
 def dump_document(doc: dict, path: str) -> None:
+    """Write JSON data as ``json.dump(doc, fh, indent=2)`` and a newline."""
     with open(path, "w") as fh:
         fh.writelines(_chunks(doc))
         fh.write("\n")

@@ -120,8 +120,9 @@ def test_unknown_family_is_document_error():
 
 def test_numbers_are_rounded_to_12_significant_digits(tmp_path):
     path = tmp_path / "doc.json"
-    docio.dump_document({"x": np.float64(2.0 / 3.0), "y": [1 / 3],
-                         "z": np.array([2.0 / 3.0, 1e-20 / 3])}, str(path))
+    docio.dump_document(docio.json_data(
+        {"x": np.float64(2.0 / 3.0), "y": [1 / 3],
+         "z": np.array([2.0 / 3.0, 1e-20 / 3])}), str(path))
     out = json.loads(path.read_text())
     assert out == {"x": 0.666666666667, "y": [0.333333333333],
                    "z": [0.666666666667, 3.33333333333e-21]}

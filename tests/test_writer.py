@@ -1,5 +1,8 @@
 """The document, region-CSV and region-SVG writers write exactly the bytes of
-the per-element reference writers in ``reference_writers``."""
+the per-element reference writers in ``reference_writers``, and
+``dump_document`` writes JSON data exactly as ``json.dump(indent=2)``."""
+
+import json
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -48,38 +51,69 @@ documents = st.recursive(
     max_leaves=12)
 
 
-def written(tmp_path, doc) -> str:
+# JSON data as the builders produce it: nests of lists (rows of scalars,
+# ragged and empty rows among them), tuples and dicts; the strings hold the
+# characters the writer's row joining looks for
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=True), st.sampled_from(SPECIAL_INTS),
+    st.integers(-(2**70), 2**70),
+    st.text(alphabet="[],\n \"\\a", max_size=6))
+json_data = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+json_rows = st.lists(st.lists(json_scalars, max_size=4).map(
+    lambda row: row if len(row) % 2 else tuple(row)), min_size=1, max_size=5)
+
+
+def written(tmp_path, data) -> str:
     path = tmp_path / "doc.json"
-    docio.dump_document(doc, str(path))
+    docio.dump_document(data, str(path))
     return path.read_bytes().decode()
 
 
+@given(data=st.one_of(json_data, json_rows))
+def test_dump_document_is_json_dump(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("data")
+    for doc in (data, {"doc": data, "more": [data, 1]}):
+        assert written(tmp, doc) == json.dumps(doc, indent=2) + "\n"
+
+
 @given(doc=documents)
-def test_dump_document_matches_reference(tmp_path_factory, doc):
+def test_json_data_matches_reference(tmp_path_factory, doc):
     tmp = tmp_path_factory.mktemp("doc")
-    assert written(tmp, {"doc": doc}) == ref.document_text({"doc": doc})
-    assert written(tmp, doc) == ref.document_text(doc)
+    assert written(tmp, docio.json_data({"doc": doc})) == \
+        ref.document_text({"doc": doc})
+    assert written(tmp, docio.json_data(doc)) == ref.document_text(doc)
 
 
 @given(arr=ndarrays)
-def test_dump_document_arrays_match_reference(tmp_path_factory, arr):
+def test_json_data_arrays_match_reference(tmp_path_factory, arr):
     tmp = tmp_path_factory.mktemp("arr")
     doc = {"a": arr, "nested": [{"cells": arr}, (arr, 1.5)]}
-    assert written(tmp, doc) == ref.document_text(doc)
+    assert written(tmp, docio.json_data(doc)) == ref.document_text(doc)
 
 
 def test_all_distinct_values_match_reference(tmp_path):
     rng = np.random.default_rng(0)
     doc = {"values": rng.standard_normal((30, 40)) * 10.0 ** rng.integers(
         -30, 30, size=(30, 40)), "ints": rng.integers(-2**62, 2**62, 500)}
-    assert written(tmp_path, doc) == ref.document_text(doc)
+    assert written(tmp_path, docio.json_data(doc)) == ref.document_text(doc)
 
 
-def test_result_documents_match_reference(tmp_path):
+def test_result_documents_are_json_data(tmp_path):
     spec = random_analog_spec(np.random.default_rng(3))
     vf, policy = solve_value_iteration(spec)
     doc = docio.solve_results_document(spec, vf, policy)
-    assert written(tmp_path, doc) == ref.document_text(doc)
+    text = written(tmp_path, doc)
+    assert text == ref.document_text(doc)
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    assert json.loads(text)["values"] == json.loads(
+        ref.document_text(vf.values))
 
     spec = random_base_spec(np.random.default_rng(4))
     vf, policy = solve_value_iteration(spec)
@@ -88,9 +122,14 @@ def test_result_documents_match_reference(tmp_path):
         for i in range(4)]
     est = simulate.estimate_policy_value(spec, policy, 100, 5)
     doc = docio.simulate_results_document(est, records)
-    doc["solver_value"] = float(vf.marginal[0])
+    doc["solver_value"] = docio.json_data(float(vf.marginal[0]))
     assert any(r.states for r in records)
-    assert written(tmp_path, doc) == ref.document_text(doc)
+    assert written(tmp_path, doc) == ref.document_text(
+        {**doc, "trajectories": [
+             {"reward": r.reward, "epochs": r.epochs, "terminal": r.terminal,
+              "states": r.states, "offers": r.offers, "actions": r.actions}
+             for r in records]})
+    json.dumps(doc)
 
 
 # --- region CSV and SVG -------------------------------------------------------
