@@ -49,6 +49,13 @@ class FiniteOffers(OfferDistribution):
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         p = np.asarray(self.probs, dtype=float)
+        if v.ndim != 1 or v.size == 0 or p.shape != v.shape:
+            raise ValueError("offer values and probs must be non-empty "
+                             "vectors of equal length")
+        if not np.isfinite(v).all():
+            raise ValueError("offer values must be finite")
+        if not np.isfinite(p).all():
+            raise ValueError("offer probabilities must be finite")
         if (np.diff(v) >= 0).any():
             raise ValueError("offer values must be strictly decreasing")
         if v[-1] <= 0:
@@ -82,8 +89,8 @@ class UniformOffers(OfferDistribution):
     high: float
 
     def __post_init__(self):
-        if not (0 <= self.low < self.high):
-            raise ValueError("need 0 <= low < high")
+        if not (0 <= self.low < self.high < math.inf):
+            raise ValueError("uniform offers need 0 <= low < high < inf")
 
     @property
     def lower(self):
@@ -143,9 +150,43 @@ class ContinuousOffers(OfferDistribution):
 # ---------------------------------------------------------------------------
 # lifetimes and arrivals
 
+def _positive_rate(rate: float, what: str) -> None:
+    if not (0 < rate < math.inf):
+        raise ValueError(f"{what} rate must be finite and > 0, got {rate!r}")
+
+
+class LifetimeDistribution:
+    """Remaining-lifetime distribution.
+
+    The threshold recursions read ``survival`` and ``failure_rate`` (both
+    taking a time or an array of times); simulation reads ``sample``.
+    """
+
+    def survival(self, t):
+        raise NotImplementedError
+
+    def failure_rate(self, t):
+        raise NotImplementedError
+
+    def sample(self, rng, n):
+        raise NotImplementedError
+
+    def conditional_survival(self, s, t):
+        """P(tau > t + s | tau > t); 0 once survival past t is negligible."""
+        sf_t = self.survival(t)
+        if sf_t < 1e-12:
+            return 0.0
+        return float(self.survival(t + s) / sf_t)
+
+
 @dataclass(frozen=True)
-class Lifetime:
-    """Remaining-lifetime distribution wrapping a frozen scipy distribution."""
+class Lifetime(LifetimeDistribution):
+    """Remaining lifetime given by any frozen scipy distribution.
+
+    Every call goes to scipy, point by point; the exponential and Erlang
+    families have the closed form :class:`ErlangLifetime` instead, which
+    needs no scipy.
+    """
 
     dist: object
 
@@ -157,33 +198,69 @@ class Lifetime:
         return np.where(sf > 1e-300, self.dist.pdf(t) / np.maximum(sf, 1e-300),
                         np.inf)[()]
 
-    def conditional_survival(self, s, t):
-        """P(tau > t + s | tau > t); 0 once survival past t is negligible."""
-        sf_t = self.dist.sf(t)
-        if sf_t < 1e-12:
-            return 0.0
-        return float(self.dist.sf(t + s) / sf_t)
-
     def sample(self, rng, n):
         return self.dist.rvs(size=n, random_state=rng)
 
 
-# scipy is imported where it is used, so that discrete-only callers (most
-# CLI commands) never load it
+@dataclass(frozen=True)
+class ErlangLifetime(LifetimeDistribution):
+    """Erlang(shape k, rate) lifetime in closed form; k = 1 is exponential.
 
-def exponential_lifetime(rate: float) -> Lifetime:
-    from scipy.stats import expon
-    return Lifetime(expon(scale=1.0 / rate))
+    With x = rate * t (t >= 0) and the Poisson partial sum
+    S = sum_{j<k} x^j / j!, survival is e^(-x) * S and the failure rate is
+    rate * (x^(k-1) / (k-1)!) / S, a ratio that never underflows.
+    """
+
+    shape: int
+    rate: float
+
+    def __post_init__(self):
+        if not float(self.shape).is_integer() or self.shape < 1:
+            raise ValueError(f"erlang shape must be an integer >= 1, "
+                             f"got {self.shape!r}")
+        object.__setattr__(self, "shape", int(self.shape))
+        _positive_rate(self.rate, "lifetime")
+
+    def _poisson_terms(self, t):
+        """x, the last term x^(k-1)/(k-1)! and the partial sum S at t."""
+        x = self.rate * np.asarray(t, dtype=float)
+        term = total = np.ones_like(x)
+        for j in range(1, self.shape):
+            term = term * x / j
+            total = total + term
+        return x, term, total
+
+    def survival(self, t):
+        x, _, total = self._poisson_terms(t)
+        return (np.exp(-x) * total)[()]
+
+    def failure_rate(self, t):
+        _, last, total = self._poisson_terms(t)
+        return (self.rate * last / total)[()]
+
+    def sample(self, rng, n):
+        # the draws of scipy's erlang ``rvs`` on the same generator, and of
+        # expon's for shape 1: numpy's standard_gamma(1) is its
+        # standard_exponential
+        return rng.standard_gamma(self.shape, n) * (1.0 / self.rate)
 
 
-def erlang_lifetime(shape: int, rate: float) -> Lifetime:
-    from scipy.stats import erlang
-    return Lifetime(erlang(int(shape), scale=1.0 / rate))
+def exponential_lifetime(rate: float) -> ErlangLifetime:
+    return ErlangLifetime(1, rate)
+
+
+def erlang_lifetime(shape: int, rate: float) -> ErlangLifetime:
+    return ErlangLifetime(shape, rate)
 
 
 @dataclass(frozen=True)
 class DeterministicInterarrival:
     gap: float
+
+    def __post_init__(self):
+        if not (0 < self.gap < math.inf):
+            raise ValueError(f"interarrival gap must be finite and > 0, "
+                             f"got {self.gap!r}")
 
     def cdf(self, s):
         return (np.asarray(s, dtype=float) >= self.gap).astype(float)
@@ -193,19 +270,21 @@ class DeterministicInterarrival:
 
 
 @dataclass(frozen=True)
-class ScipyInterarrival:
-    dist: object
+class ExponentialInterarrival:
+    rate: float
+
+    def __post_init__(self):
+        _positive_rate(self.rate, "interarrival")
 
     def cdf(self, s):
-        return self.dist.cdf(s)
+        return -np.expm1(-self.rate * np.asarray(s, dtype=float))
 
     def sample(self, rng, n):
-        return self.dist.rvs(size=n, random_state=rng)
+        return rng.standard_exponential(n) * (1.0 / self.rate)
 
 
-def exponential_interarrival(rate: float) -> ScipyInterarrival:
-    from scipy.stats import expon
-    return ScipyInterarrival(expon(scale=1.0 / rate))
+def exponential_interarrival(rate: float) -> ExponentialInterarrival:
+    return ExponentialInterarrival(rate)
 
 
 @dataclass(frozen=True)
@@ -214,6 +293,8 @@ class FixedInstants:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError("arrival instants must be finite")
         if (np.diff(t) <= 0).any():
             raise ValueError("arrival instants must be strictly increasing")
         t.setflags(write=False)
@@ -228,6 +309,12 @@ class RenewalArrivals:
 @dataclass(frozen=True)
 class PoissonArrivals:
     rate: float
+
+    def __post_init__(self):
+        # rate 0 is allowed: no offer ever arrives
+        if not (0 <= self.rate < math.inf):
+            raise ValueError(f"Poisson arrival rate must be finite and >= 0, "
+                             f"got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -248,14 +335,14 @@ class ContinuousModelSpec:
 
     offers: OfferDistribution
     arrivals: object
-    lifetime: Lifetime | None = None
+    lifetime: LifetimeDistribution | None = None
     discount_fn: Callable[[float], float] = field(default=lambda t: 1.0)
     survival_alphas: np.ndarray | None = None
 
     def __post_init__(self):
         if self.survival_alphas is not None:
             a = np.asarray(self.survival_alphas, dtype=float)
-            if ((a < 0) | (a > 1)).any():
+            if not ((a >= 0) & (a <= 1)).all():
                 raise ValueError("survival probabilities must lie in [0, 1]")
             a.setflags(write=False)
             object.__setattr__(self, "survival_alphas", a)
@@ -270,7 +357,7 @@ class ContinuousModelSpec:
         # light monotonicity check of the discount function
         grid = np.linspace(0.0, 100.0, 41)
         vals = np.array([self.discount_fn(t) for t in grid])
-        if (np.diff(vals) > 1e-12).any() or (vals <= 0).any() or (vals > 1).any():
+        if (np.diff(vals) > 1e-12).any() or not ((vals > 0) & (vals <= 1)).all():
             raise ValueError("discount function must be nonincreasing with "
                              "values in (0, 1]")
 
@@ -470,7 +557,9 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
 
     lambda'(t) = r(t) lambda(t) - beta(t) mu(t) E[(X - lambda(t)/beta(t))+],
     solved with classical fourth-order steps; each grid interval is
-    subdivided until the step-doubling error estimate is below 1e-8.
+    subdivided until the step-doubling error estimate is below 1e-8.  A
+    failure rate above 1e6, a non-finite error estimate or 1024 substeps
+    raise :class:`StiffnessError`.
     """
     arrivals = spec.arrivals
     if isinstance(arrivals, PoissonArrivals):
@@ -482,19 +571,30 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
     lifetime = spec.lifetime
     truncated = lifetime.survival(t_max) > TRUNCATION_SURVIVAL
 
-    def rhs(t, lam):
-        r = float(lifetime.failure_rate(t))
-        if not np.isfinite(r) or r > 1e6:
-            raise StiffnessError(f"failure rate {r:.3g} at t={t:.6g} exceeds 1e6")
-        # beta * psi(lam / beta) = E[max(beta X, lam)] - lam
-        gain = _offer_value_expectation(spec.offers, lam, spec.discount_fn(t)) - lam
-        return r * lam - rate_fn(t) * float(gain)
+    def coefficients(nodes):
+        """r, mu and beta at each node, once; the stiffness guard on r."""
+        r = np.asarray(lifetime.failure_rate(nodes), dtype=float)
+        bad = ~np.isfinite(r) | (r > 1e6)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StiffnessError(f"failure rate {r[i]:.3g} at t={nodes[i]:.6g} "
+                                 "exceeds 1e6")
+        ts = nodes.tolist()
+        return (r.tolist(), [rate_fn(u) for u in ts],
+                [spec.discount_fn(u) for u in ts])
 
-    def rk4(t, lam, h):
-        k1 = rhs(t, lam)
-        k2 = rhs(t + 0.5 * h, lam + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, lam + 0.5 * h * k2)
-        k4 = rhs(t + h, lam + h * k3)
+    def rhs(i, lam):
+        # beta * psi(lam / beta) = E[max(beta X, lam)] - lam
+        gain = _offer_value_expectation(spec.offers, lam, beta[i]) - lam
+        return r[i] * lam - mu[i] * float(gain)
+
+    def rk4(m, d, lam, h):
+        """Classical step of length h from node m, over node m + d (its
+        midpoint) to node m + 2d."""
+        k1 = rhs(m, lam)
+        k2 = rhs(m + d, lam + 0.5 * h * k1)
+        k3 = rhs(m + d, lam + 0.5 * h * k2)
+        k4 = rhs(m + 2 * d, lam + h * k3)
         return lam + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     times = np.arange(0.0, t_max + 0.5 * step, step)
@@ -505,15 +605,21 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
         n_sub = 1
         while True:
             h = (t0 - t1) / n_sub  # negative: integrating backward
+            # node m sits at t1 + m h / 4: the full steps use every fourth
+            # node and their midpoints, the half steps every second and theirs
+            r, mu, beta = coefficients(t1 + (h / 4) * np.arange(4 * n_sub + 1))
             full = value
             for j in range(n_sub):
-                full = rk4(t1 + j * h, full, h)
+                full = rk4(4 * j, 2, full, h)
             half = value
             for j in range(2 * n_sub):
-                half = rk4(t1 + j * (h / 2), half, h / 2)
+                half = rk4(2 * j, 1, half, h / 2)
             err = abs(half - full) / 15.0
+            if not math.isfinite(err):
+                raise StiffnessError(
+                    f"non-finite step error between t={t0:.6g} and {t1:.6g}")
             if err <= 1e-8 or n_sub >= 1024:
-                if n_sub >= 1024 and err > 1e-8:
+                if err > 1e-8:
                     raise StiffnessError(
                         f"step-size underflow between t={t0:.6g} and {t1:.6g}")
                 value = half

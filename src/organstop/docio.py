@@ -59,8 +59,10 @@ def _require(obj, key, path, kind=None):
         raise DocumentError(f"{path}.{key}", "missing required field")
     value = obj[key]
     if kind is not None and not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(k.__name__ for k in kinds)
         raise DocumentError(f"{path}.{key}",
-                            f"expected {kind.__name__}, got {type(value).__name__}")
+                            f"expected {names}, got {type(value).__name__}")
     return value
 
 
@@ -125,27 +127,34 @@ def parse_model_section(section: dict, path: str = "model") -> DiscreteModelSpec
 
 
 # --- named distribution families for the continuous section ----------------
+#
+# The constructors check their values (finite rates, an integer Erlang shape,
+# ...) and raise ValueError naming the field; parse_continuous_section turns
+# that into a DocumentError.
+
+def _number(section, key, path):
+    return float(_require(section, key, path, (int, float)))
+
 
 def parse_offers(section: dict, path: str) -> ctime.OfferDistribution:
     family = _require(section, "family", path, str)
     if family == "uniform":
-        return ctime.UniformOffers(float(_require(section, "low", path)),
-                                   float(_require(section, "high", path)))
+        return ctime.UniformOffers(_number(section, "low", path),
+                                   _number(section, "high", path))
     if family == "finite":
-        return ctime.FiniteOffers(
-            np.asarray(_require(section, "values", path), dtype=float),
-            np.asarray(_require(section, "probs", path), dtype=float))
+        return ctime.FiniteOffers(_array(section, "values", path, 1),
+                                  _array(section, "probs", path, 1))
     raise DocumentError(f"{path}.family",
                         f"unknown offer family {family!r} (uniform, finite)")
 
 
-def parse_lifetime(section: dict, path: str) -> ctime.Lifetime:
+def parse_lifetime(section: dict, path: str) -> ctime.LifetimeDistribution:
     family = _require(section, "family", path, str)
     if family == "exponential":
-        return ctime.exponential_lifetime(float(_require(section, "rate", path)))
+        return ctime.exponential_lifetime(_number(section, "rate", path))
     if family == "erlang":
-        return ctime.erlang_lifetime(int(_require(section, "shape", path)),
-                                     float(_require(section, "rate", path)))
+        shape = _require(section, "shape", path, (int, float))
+        return ctime.erlang_lifetime(shape, _number(section, "rate", path))
     raise DocumentError(f"{path}.family",
                         f"unknown lifetime family {family!r} "
                         "(exponential, erlang)")
@@ -154,9 +163,9 @@ def parse_lifetime(section: dict, path: str) -> ctime.Lifetime:
 def parse_interarrival(section: dict, path: str):
     family = _require(section, "family", path, str)
     if family == "deterministic":
-        return ctime.DeterministicInterarrival(float(_require(section, "gap", path)))
+        return ctime.DeterministicInterarrival(_number(section, "gap", path))
     if family == "exponential":
-        return ctime.exponential_interarrival(float(_require(section, "rate", path)))
+        return ctime.exponential_interarrival(_number(section, "rate", path))
     raise DocumentError(f"{path}.family",
                         f"unknown interarrival family {family!r} "
                         "(deterministic, exponential)")
@@ -165,10 +174,9 @@ def parse_interarrival(section: dict, path: str):
 def parse_arrivals(section: dict, path: str):
     kind = _require(section, "kind", path, str)
     if kind == "fixed":
-        return ctime.FixedInstants(
-            np.asarray(_require(section, "times", path), dtype=float))
+        return ctime.FixedInstants(_array(section, "times", path, 1))
     if kind == "poisson":
-        return ctime.PoissonArrivals(float(_require(section, "rate", path)))
+        return ctime.PoissonArrivals(_number(section, "rate", path))
     if kind == "renewal":
         return ctime.RenewalArrivals(
             parse_interarrival(_require(section, "interarrival", path, dict),
@@ -183,10 +191,10 @@ def parse_discount_fn(section: dict | None, path: str):
         return lambda t: 1.0
     kind = _require(section, "kind", path, str)
     if kind == "constant":
-        value = float(_require(section, "value", path))
+        value = _number(section, "value", path)
         return lambda t: value
     if kind == "exponential":
-        rate = float(_require(section, "rate", path))
+        rate = _number(section, "rate", path)
         return lambda t: math.exp(-rate * t)
     raise DocumentError(f"{path}.kind",
                         f"unknown discount kind {kind!r} "
@@ -197,24 +205,24 @@ def parse_continuous_section(section: dict,
                              path: str = "continuous") -> ctime.ContinuousModelSpec:
     if not isinstance(section, dict):
         raise DocumentError(path, "continuous section must be an object")
-    arrivals = parse_arrivals(_require(section, "arrivals", path, dict),
-                              f"{path}.arrivals")
-    lifetime = None
-    if section.get("lifetime") is not None:
-        lifetime = parse_lifetime(section["lifetime"], f"{path}.lifetime")
-    alphas = None
-    if section.get("survival_alphas") is not None:
-        alphas = np.asarray(section["survival_alphas"], dtype=float)
     try:
+        lifetime = None
+        if section.get("lifetime") is not None:
+            lifetime = parse_lifetime(_require(section, "lifetime", path, dict),
+                                      f"{path}.lifetime")
         return ctime.ContinuousModelSpec(
             offers=parse_offers(_require(section, "offers", path, dict),
                                 f"{path}.offers"),
-            arrivals=arrivals,
+            arrivals=parse_arrivals(_require(section, "arrivals", path, dict),
+                                    f"{path}.arrivals"),
             lifetime=lifetime,
             discount_fn=parse_discount_fn(section.get("discount"),
                                           f"{path}.discount"),
-            survival_alphas=alphas,
+            survival_alphas=_array(section, "survival_alphas", path, 1,
+                                   optional=True),
         )
+    except DocumentError:
+        raise
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from None
 
@@ -269,8 +277,11 @@ def _array_data(a: np.ndarray):
     if a.dtype.kind != "f":
         return json_data(a.tolist())
     flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
-    # unique by bit pattern: keeps -0.0 apart from 0.0
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    # unique by bit pattern: keeps -0.0 apart from 0.0; asking for the
+    # (unused) first indices makes numpy sort stably, which is several times
+    # faster on the long runs of equal values these arrays hold
+    bits, _, inverse = np.unique(flat.view(np.uint64), return_index=True,
+                                 return_inverse=True)
     rounded = np.empty(bits.size, dtype=object)
     rounded[:] = [_round_sig(x) for x in bits.view(np.float64).tolist()]
     return rounded[inverse].reshape(a.shape).tolist()

@@ -557,7 +557,9 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
 
     ``threshold`` is a :class:`ThresholdCurve`, a callable t -> lambda(t),
     or (fixed instants only) an array of per-instant rejection values.
-    Rewards are beta(t) * value at acceptance and 0 on death.
+    Rewards are beta(t) * value at acceptance and 0 on death; a trajectory
+    still open after ``max_arrivals`` arrivals scores 0 and is counted in
+    ``truncated``.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rewards = np.zeros(n_trajectories)
@@ -625,7 +627,7 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
         take = x > lams / betas
         rewards[at[take]] = betas[take] * x[take]
         open_[at[take]] = False
-    return _estimate(rewards)
+    return _estimate(rewards, int(open_.sum()))
 
 
 def _estimate(rewards, truncated=0):

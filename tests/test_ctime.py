@@ -1,6 +1,10 @@
 """Threshold curves: recursion, fixed points, ODE, and critical times."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special, stats
 
+import organstop
 from organstop import (
     ContinuousModelSpec,
     ContinuousOffers,
@@ -15,6 +20,7 @@ from organstop import (
     FiniteOffers,
     FixedInstants,
     Lifetime,
+    NonhomogeneousPoissonArrivals,
     PoissonArrivals,
     RenewalArrivals,
     StiffnessError,
@@ -134,6 +140,41 @@ def test_erlang_failure_rate_increases():
     rates = [float(life.failure_rate(np.asarray(t)))
              for t in np.linspace(0.1, 10.0, 40)]
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+def scipy_erlang(shape, rate):
+    return (stats.expon(scale=1.0 / rate) if shape == 1
+            else stats.erlang(shape, scale=1.0 / rate))
+
+
+@given(st.integers(1, 7), st.floats(-3.0, 3.0),
+       st.lists(st.floats(0.0, 600.0), min_size=1, max_size=8))
+def test_closed_form_lifetime_matches_scipy(shape, log_rate, xs):
+    rate = 10.0 ** log_rate
+    t = np.array(xs) / rate
+    life, dist = erlang_lifetime(shape, rate), scipy_erlang(shape, rate)
+    sf = dist.sf(t)
+    np.testing.assert_allclose(life.survival(t), sf, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(life.failure_rate(t), dist.pdf(t) / sf,
+                               rtol=1e-12, atol=0.0)
+    assert life.survival(t[0]) == pytest.approx(sf[0], rel=1e-12, abs=0.0)
+
+
+@given(st.integers(1, 7), st.floats(-3.0, 3.0), st.integers(0, 2**64 - 1),
+       st.integers(0, 50))
+def test_closed_form_sampling_draws_what_scipy_draws(shape, log_rate, seed, n):
+    rate = 10.0 ** log_rate
+    rng = lambda: np.random.Generator(np.random.Philox(seed))
+    expected = scipy_erlang(shape, rate).rvs(size=n, random_state=rng())
+    np.testing.assert_array_equal(erlang_lifetime(shape, rate).sample(rng(), n),
+                                  expected)
+    if shape == 1:
+        np.testing.assert_array_equal(
+            exponential_interarrival(rate).sample(rng(), n), expected)
+        s = np.array([0.0, 1e-9, 0.5, 3.0, 40.0]) / rate
+        np.testing.assert_allclose(exponential_interarrival(rate).cdf(s),
+                                   stats.expon(scale=1.0 / rate).cdf(s),
+                                   rtol=1e-12, atol=0.0)
 
 
 # --- fixed arrival instants --------------------------------------------------
@@ -300,6 +341,55 @@ def test_truncation_flag():
     )
     assert poisson_lambda_ode(spec, t_max=5.0, step=0.1).truncated
     assert not poisson_lambda_ode(spec, t_max=40.0, step=0.5).truncated
+
+
+def test_ode_evaluates_each_node_once():
+    calls = []
+
+    def rate(t):
+        calls.append(t)
+        return 1.0
+
+    offers, life = UniformOffers(0.0, 1.0), erlang_lifetime(3, 1.0)
+    curve = poisson_lambda_ode(
+        ContinuousModelSpec(offers=offers, lifetime=life,
+                            arrivals=NonhomogeneousPoissonArrivals(rate)),
+        t_max=1.0, step=0.1)
+    # one step-doubling pass per interval: 5 distinct nodes, not 12 calls
+    assert len(calls) == 5 * 10
+    same = poisson_lambda_ode(
+        ContinuousModelSpec(offers=offers, lifetime=life,
+                            arrivals=PoissonArrivals(1.0)),
+        t_max=1.0, step=0.1)
+    assert np.array_equal(curve.values, same.values)
+
+
+def test_nan_rate_raises_instead_of_hanging():
+    # a NaN step error compares false with the tolerance: only an explicit
+    # check keeps the ODE from refining every interval to 1024 substeps
+    code = textwrap.dedent("""\
+        import math
+        from organstop import ctime
+        spec = ctime.ContinuousModelSpec(
+            offers=ctime.UniformOffers(0.0, 1.0),
+            arrivals=ctime.NonhomogeneousPoissonArrivals(lambda t: math.nan),
+            lifetime=ctime.exponential_lifetime(0.5))
+        try:
+            ctime.poisson_lambda_ode(spec, 40.0, 0.1)
+        except ctime.StiffnessError as exc:
+            print("StiffnessError:", exc)
+        try:
+            ctime.PoissonArrivals(math.nan)
+        except ValueError as exc:
+            print("ValueError:", exc)
+        """)
+    src = os.path.dirname(os.path.dirname(organstop.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("StiffnessError: non-finite step error")
+    assert lines[1].startswith("ValueError: Poisson arrival rate")
 
 
 def test_stiffness_guard_trips():

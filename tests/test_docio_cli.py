@@ -388,17 +388,109 @@ def test_cli_documents_write_json_booleans(tmp_path):
 
 
 def test_cli_import_and_discrete_solve_load_no_scipy(tmp_path):
-    inp = write_doc(tmp_path, model_doc(random_base_spec(
-        np.random.default_rng(14))))
-    out = str(tmp_path / "o.json")
+    # and neither does a curve on the closed-form lifetimes and arrivals
+    commands = [["solve", "--input", write_doc(tmp_path, model_doc(
+        random_base_spec(np.random.default_rng(14)))),
+        "--output", str(tmp_path / "o.json")]]
+    for life in ({"family": "exponential", "rate": 0.5},
+                 {"family": "erlang", "shape": 3, "rate": 1.0}):
+        for arrivals in ({"kind": "poisson", "rate": 1.0},
+                         {"kind": "renewal", "interarrival":
+                          {"family": "exponential", "rate": 1.0}}):
+            name = f"{life['family']}-{arrivals['kind']}"
+            inp = write_doc(tmp_path, {"continuous": {
+                "offers": {"family": "finite", "values": [1.0, 0.5],
+                           "probs": [0.5, 0.5]},
+                "arrivals": arrivals, "lifetime": life}}, name + ".json")
+            commands.append(["continuous", "--input", inp, "--output",
+                             str(tmp_path / f"{name}-curve.json"),
+                             "--t-max", "30", "--grid-step", "0.1"])
     code = ("import sys; from organstop import cli; "
             "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-            "print(scipy()); "
-            f"cli.main(['solve', '--input', {inp!r}, '--output', {out!r}]); "
-            "print(scipy())")
+            "print(scipy())\n"
+            f"for argv in {commands!r}:\n"
+            "    print(cli.main(argv), scipy())")
     src = os.path.dirname(os.path.dirname(organstop.__file__))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert run.stdout.split("\n")[:2] == ["[]", "[]"]
-    assert os.path.exists(out)
+    assert run.stdout.splitlines() == ["[]"] + ["0 []"] * len(commands)
+    assert all(os.path.exists(argv[4]) for argv in commands)
+
+
+def test_cli_continuous_nan_rate_exits_validation(tmp_path):
+    # refused before the ODE runs; the timeout turns a hang into a failure
+    inp = write_doc(tmp_path, {"continuous": {
+        "offers": {"family": "uniform", "low": 0.0, "high": 1.0},
+        "arrivals": {"kind": "poisson", "rate": float("nan")},
+        "lifetime": {"family": "exponential", "rate": 0.5},
+    }})
+    out = tmp_path / "curve.json"
+    code = ("import sys; from organstop import cli; "
+            f"sys.exit(cli.main(['continuous', '--input', {inp!r}, "
+            f"'--output', {str(out)!r}, '--t-max', '40', '--grid-step', '0.1']))")
+    src = os.path.dirname(os.path.dirname(organstop.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == cli.EXIT_VALIDATION
+    assert "Poisson arrival rate must be finite" in run.stderr
+    assert not out.exists()
+
+
+_GOOD_CONTINUOUS = {
+    "offers": {"family": "uniform", "low": 0.0, "high": 1.0},
+    "arrivals": {"kind": "poisson", "rate": 1.0},
+    "lifetime": {"family": "exponential", "rate": 0.5},
+}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("arrivals", {"kind": "poisson", "rate": -1.0}, "Poisson arrival rate"),
+    ("arrivals", {"kind": "poisson", "rate": float("inf")},
+     "Poisson arrival rate"),
+    ("arrivals", {"kind": "poisson", "rate": float("nan")},
+     "Poisson arrival rate"),
+    ("lifetime", {"family": "exponential", "rate": 0.0}, "lifetime rate"),
+    ("lifetime", {"family": "exponential", "rate": -1.0}, "lifetime rate"),
+    ("lifetime", {"family": "erlang", "shape": 3, "rate": float("nan")},
+     "lifetime rate"),
+    ("lifetime", {"family": "erlang", "shape": 2.5, "rate": 1.0},
+     "erlang shape"),
+    ("lifetime", {"family": "erlang", "shape": 0, "rate": 1.0}, "erlang shape"),
+    ("lifetime", {"family": "erlang", "shape": float("nan"), "rate": 1.0},
+     "erlang shape"),
+    ("lifetime", {"family": "exponential", "rate": None},
+     "continuous.lifetime.rate: expected int or float"),
+    ("arrivals", {"kind": "renewal", "interarrival":
+                  {"family": "exponential", "rate": 0.0}},
+     "interarrival rate"),
+    ("arrivals", {"kind": "renewal", "interarrival":
+                  {"family": "exponential", "rate": float("inf")}},
+     "interarrival rate"),
+    ("arrivals", {"kind": "renewal", "interarrival":
+                  {"family": "deterministic", "gap": float("nan")}},
+     "interarrival gap"),
+    ("offers", {"family": "finite", "values": [float("nan"), 0.5],
+                "probs": [0.5, 0.5]}, "offer values must be finite"),
+    ("offers", {"family": "finite", "values": [1.0, 0.5],
+                "probs": [float("nan"), 0.5]},
+     "offer probabilities must be finite"),
+    ("arrivals", {"kind": "fixed", "times": [1.0, float("nan")]},
+     "arrival instants must be finite"),
+], ids=["poisson-negative", "poisson-inf", "poisson-nan", "lifetime-zero",
+        "lifetime-negative", "lifetime-nan", "erlang-fractional-shape",
+        "erlang-zero-shape", "erlang-nan-shape", "lifetime-null",
+        "interarrival-zero", "interarrival-inf", "gap-nan", "offer-values-nan",
+        "offer-probs-nan", "instants-nan"])
+def test_cli_continuous_refuses_bad_fields(tmp_path, capsys, key, value,
+                                           message):
+    doc = {**_GOOD_CONTINUOUS, key: value}
+    if key == "arrivals" and value["kind"] == "fixed":
+        doc["survival_alphas"] = [0.9, 0.9]
+    inp = write_doc(tmp_path, {"continuous": doc})
+    out = tmp_path / "curve.json"
+    assert cli.main(["continuous", "--input", inp, "--output", str(out),
+                     "--t-max", "5", "--grid-step", "0.5"]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -303,6 +303,29 @@ def test_thinning_matches_homogeneous():
     assert gap <= 3 * math.hypot(homo.std_error, thin.std_error)
 
 
+def test_continuous_simulation_counts_truncated_trajectories():
+    spec = ContinuousModelSpec(
+        offers=UniformOffers(0.0, 1.0),
+        arrivals=PoissonArrivals(1.0),
+        lifetime=exponential_lifetime(0.5),
+    )
+    n, m = 20_000, 3
+    # rejecting every offer, a trajectory is open after m arrivals iff it
+    # outlives them: probability (mu / (mu + r))^m = (2/3)^3
+    never = continuous_time_simulate(spec, lambda t: 2.0, n, seed=10,
+                                     max_arrivals=m)
+    p = (2.0 / 3.0) ** m
+    assert never.mean == 0.0
+    assert abs(never.truncated - n * p) <= 4 * math.sqrt(n * p * (1 - p))
+    assert continuous_time_simulate(spec, lambda t: 2.0, n,
+                                    seed=10).truncated == 0
+    # accepting every offer, the first arrival or death ends each trajectory
+    always = continuous_time_simulate(spec, lambda t: 0.0, n, seed=11,
+                                      max_arrivals=1)
+    assert always.truncated == 0
+    assert always == continuous_time_simulate(spec, lambda t: 0.0, n, seed=11)
+
+
 def test_continuous_simulation_reproducible():
     spec = ContinuousModelSpec(
         offers=UniformOffers(0.0, 1.0),
