@@ -491,10 +491,9 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
     lam = np.zeros(n)
     inter = spec.arrivals.interarrival
 
-    def w_at(u_times, lam_interp):
-        """offer expectation at times u (vector), using interpolated lambda."""
+    def w_at(u_times, lam_interp, beta_u):
+        """offer expectation at times u, discounted by beta_u there."""
         lam_u = np.interp(u_times, times, lam_interp)
-        beta_u = np.array([spec.discount_fn(u) for u in np.atleast_1d(u_times)])
         return np.where(u_times <= times[-1],
                         _offer_value_expectation(spec.offers, lam_u, beta_u),
                         0.0)
@@ -504,7 +503,8 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
         for i in range(n - 1, -1, -1):
             t = times[i]
             gbar = lifetime.conditional_survival(d, t)
-            lam[i] = gbar * w_at(np.array([t + d]), lam)[0]
+            lam[i] = gbar * w_at(np.array([t + d]), lam,
+                                 np.array([spec.discount_fn(t + d)]))[0]
         return ThresholdCurve(times, lam, truncated=truncated)
 
     # continuous interarrivals: trapezoid over the s-grid, midpoint masses
@@ -520,13 +520,14 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
         if sf_t < 1e-12:
             lam[i] = 0.0
             continue
-        gbar = np.asarray(lifetime.survival(t + s_mids), dtype=float) / sf_t
+        u = t + s_mids
+        weights = np.asarray(lifetime.survival(u), dtype=float) / sf_t * masses
+        beta_u = np.array([spec.discount_fn(x) for x in u])  # once per t
         # the first midpoint may interpolate lambda(t) itself: fixed point
         guess = lam[i + 1] if i + 1 < n else 0.0
         for _ in range(100):
             lam[i] = guess
-            w = w_at(t + s_mids, lam)
-            new = float(np.sum(gbar * masses * w))
+            new = float(np.sum(weights * w_at(u, lam, beta_u)))
             if abs(new - guess) <= 1e-13:
                 guess = new
                 break

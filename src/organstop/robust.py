@@ -27,7 +27,9 @@ from .model import (
 from .solver import SolveOptions, _backup, _solve, solve_value_iteration
 from .structure import threshold_1d
 
-KL_RESIDUAL_TOL = 1e-10
+# a tilt is accepted at |KL(p || q) - radius| <= KL_RESIDUAL_TOL
+KL_RESIDUAL_TOL = 1e-12
+KL_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class AmbiguitySpec:
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     mask = p > 0
     if (q[mask] <= 0).any():
         return np.inf
@@ -58,75 +59,79 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 def kl_worst_case(nominal: np.ndarray, values: np.ndarray,
                   radius: float) -> tuple[np.ndarray, float]:
-    """Minimize the expectation of ``values`` over the KL ball.
+    """Worst expectation of ``values`` in one KL ball: see :func:`kl_worst_cases`."""
+    p, worst = kl_worst_cases(np.asarray(nominal, dtype=float)[None], values, [radius])
+    return p[0], float(worst[0])
 
-    Solves inf_p sum_i p_i v_i subject to D(p || nominal) <= radius.  The
-    ball is support-restricted: p must vanish wherever nominal does.  The
-    minimizer is the exponentially tilted distribution
-    p_i proportional to q_i exp(-v_i / theta), with theta found by bisection
-    on the KL constraint; when the radius reaches the KL distance to the
-    minimizing vertex, the vertex is returned.
+
+def kl_worst_cases(nominal: np.ndarray, values: np.ndarray,
+                   radii) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, minimize the expectation of ``values`` over a KL ball.
+
+    Row i solves inf_p p . v s.t. D(p || q) <= r, q = nominal[i], r = radii[i],
+    p vanishing wherever q does.  A zero radius or flat values keep q; a radius
+    reaching the KL distance to the minimizing vertex (q conditioned on its
+    least values) gives the vertex.  Otherwise p is the tilt q exp(-v/theta)/Z
+    with KL(p || q) = r, where the dual max_theta -theta r - theta log Z is
+    stationary (Iyengar 2005; Nilim and El Ghaoui 2005).  All such rows run
+    Newton on s = log theta together (dKL/ds = -Var_p(v / theta)), bisecting
+    their own brackets when a step leaves them, until |KL - r| <=
+    KL_RESIDUAL_TOL or the bracket has no midpoint left (the last feasible
+    tilt is kept); a row still open after KL_MAX_STEPS raises ValueError.
     """
-    q = np.asarray(nominal, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if radius < 0:
+    q, v, r = (np.asarray(a, dtype=float) for a in (nominal, values, radii))
+    if (r < 0).any():
         raise ValueError("radius must be nonnegative")
     support = q > 0
-    vs = v[support]
-    qs = q[support]
-    vmin = vs.min()
+    vmin = np.where(support, v, np.inf).min(axis=1)
+    moves = (r > 0) & (np.where(support, v, -np.inf).max(axis=1) - vmin >= 1e-15)
+    argmin = support & (v <= vmin[:, None] + 1e-15)
+    vertex_mass = np.where(argmin, q, 0.0).sum(axis=1)
+    vertex = moves & (r >= -np.log(vertex_mass) - 1e-12)
+    p = q.copy()
+    p[vertex] = np.where(argmin, q, 0.0)[vertex] / vertex_mass[vertex, None]
 
-    if radius == 0.0 or vs.max() - vmin < 1e-15:
-        return q.copy(), float(q @ v)
-
-    # vertex: nominal conditioned on the minimum-value support
-    argmin = vs <= vmin + 1e-15
-    vertex_mass = qs[argmin].sum()
-    kl_vertex = -np.log(vertex_mass)
-    if radius >= kl_vertex - 1e-12:
-        p = np.zeros_like(q)
-        ps = np.zeros_like(qs)
-        ps[argmin] = qs[argmin] / vertex_mass
-        p[support] = ps
-        return p, float(vmin)
-
-    def tilt(theta):
-        w = qs * np.exp(-(vs - vmin) / theta)
-        return w / w.sum()
-
-    def kl_at(theta):
-        return kl_divergence(tilt(theta), qs)
-
-    lo, hi = 1.0, 1.0
-    while kl_at(hi) > radius:
-        hi *= 2.0
-    while kl_at(lo) < radius:
-        lo /= 2.0
-        if lo < 1e-300:
+    t = np.flatnonzero(moves & ~vertex)
+    q_t, r_t = q[t], r[t]
+    gaps = np.where(support, v - vmin[:, None], 0.0)[t]  # shifted by the minimum
+    mean = (q_t * gaps).sum(axis=1)
+    var = (q_t * (gaps - mean[:, None]) ** 2).sum(axis=1)
+    # start at the small-radius asymptote KL ~ Var_q(gaps) / (2 theta^2)
+    s = 0.5 * (np.log(np.maximum(var, 1e-300)) - np.log(2.0 * r_t))
+    lo, hi, live = np.full(len(t), -np.inf), np.full(len(t), np.inf), np.arange(len(t))
+    for _ in range(KL_MAX_STEPS):
+        if not len(live):
             break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kl_at(mid) > radius:
-            lo = mid
-        else:
-            hi = mid
-        if abs(kl_at(hi) - radius) <= KL_RESIDUAL_TOL:
-            break
-    ps = tilt(hi)  # hi side satisfies KL <= radius
-    p = np.zeros_like(q)
-    p[support] = ps
-    return p, float(ps @ vs)
+        x = np.minimum(gaps[live] / np.exp(s[live, None]), 1e300)
+        w = q_t[live] * np.exp(-x)
+        z = w.sum(axis=1)
+        pt = w / z[:, None]
+        mean = (pt * x).sum(axis=1)
+        excess = -mean - np.log(z) - r_t[live]  # KL(pt || q) - r
+        var = (pt * (x - mean[:, None]) ** 2).sum(axis=1)
+        over = excess > 0  # theta too small
+        lo[live] = np.where(over, s[live], lo[live])
+        hi[live] = np.where(over, hi[live], s[live])
+        done = np.abs(excess) <= KL_RESIDUAL_TOL
+        p[t[live[done | ~over]]] = pt[done | ~over]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = s[live] + np.clip(excess / var, -64.0, 64.0)
+            mid = 0.5 * (lo[live] + hi[live])
+        inside = (newton > lo[live]) & (newton < hi[live])
+        s[live] = np.where(inside | ~np.isfinite(mid), newton, mid)
+        done |= (s[live] <= lo[live]) | (s[live] >= hi[live])
+        live = live[~done]
+    if len(live):
+        raise ValueError(f"KL tilt not converged in {KL_MAX_STEPS} steps")
+    return p, np.where(vertex, vmin, (p * v).sum(axis=1))
 
 
 def _worst_case_wait(spec, ambiguity, values):
     """Wait value per patient state under the worst row in each KL ball."""
+    live = spec.live_patients()
+    _, worst = kl_worst_cases(spec.transition[live], values, ambiguity.levels[live])
     cont = np.zeros(spec.n_patient)
-    for h in range(spec.n_patient):
-        if h == spec.death_index:
-            continue
-        _, worst = kl_worst_case(spec.transition[h], values,
-                                 float(ambiguity.levels[h]))
-        cont[h] = spec.wait_reward[h] + spec.discount * worst
+    cont[live] = spec.wait_reward[live] + spec.discount * worst
     return {Action.WAIT: cont}
 
 

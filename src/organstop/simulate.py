@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .ctime import (
 MAX_EPOCHS = 1_000_000
 MAX_BRUTE_FORCE_CELLS = 12
 MAX_BRUTE_FORCE_ACTIONS = 3
+BRUTE_FORCE_CHUNK = 2048
 
 
 @dataclass
@@ -455,12 +455,13 @@ def _rollout(spec, policy, streams, n, max_epochs):
 # exact enumeration on tiny models
 
 def _cell_dynamics(spec):
-    """Legal actions, reward and next-cell distribution of every live cell.
+    """Legal actions, rewards and next-cell rows of every live cell.
 
     Cells are (regime, patient, offer column) triples in the order of
-    :meth:`VariantRule.grid`.  Returns (cells, legal actions per cell,
-    rewards dict, transition dict); terminal actions map to an all-zero
-    transition row.
+    :meth:`VariantRule.grid`.  Returns (cells, legal actions per cell, rewards
+    (cell, slot), rows (cell, slot, cell)): slot j is the j-th legal action,
+    and terminal actions and unused slots have zero rows.  ValueError past
+    the enumeration bounds.
     """
     rule = VARIANT_RULES[spec.variant]
     n_regimes, n_patient, n_columns = rule.grid(spec)
@@ -471,68 +472,59 @@ def _cell_dynamics(spec):
     waits = {a.action: a for regime in rule.regimes for a in regime}
     cells = [(g, h, k) for g in range(n_regimes) for h in live
              for k in range(n_columns)]
+    legal = [rule.legal(spec, g, k) for g, _, k in cells]
+    n, m = len(cells), max(map(len, legal))
+    if n > MAX_BRUTE_FORCE_CELLS:
+        raise ValueError(f"{n} live cells exceeds the enumeration bound "
+                         f"{MAX_BRUTE_FORCE_CELLS}")
+    if m > MAX_BRUTE_FORCE_ACTIONS:
+        raise ValueError("more than 3 actions at some cell")
     block = offer.size  # cells per regime
 
-    legal, rewards, rows = [], {}, {}
-    for c in cells:
-        g, h, k = c
-        legal.append(rule.legal(spec, g, k))
-        for a in legal[-1]:
-            row = np.zeros(len(cells))
+    rewards, rows = np.zeros((n, m)), np.zeros((n, m, n))
+    for i, ((g, h, k), acts) in enumerate(zip(cells, legal)):
+        for j, a in enumerate(acts):
             if a in terminals:
-                r = np.broadcast_to(terminals[a], (n_patient, n_columns))[h, k]
+                rewards[i, j] = np.broadcast_to(
+                    terminals[a], (n_patient, n_columns))[h, k]
             else:
                 wait_reward, transition = waits[a].arrays(spec)
-                r = wait_reward[h]
+                rewards[i, j] = wait_reward[h]
                 start = (waits[a].regime or 0) * block
-                row[start:start + block] = (
+                rows[i, j, start:start + block] = (
                     (spec.discount * transition[h, live])[:, None] * offer).ravel()
-            rewards[(c, a)] = float(r)
-            rows[(c, a)] = row
     return cells, legal, rewards, rows
 
 
-def brute_force_optimal(spec: DiscreteModelSpec,
-                        batch: int = 2048) -> tuple[np.ndarray, Policy]:
+def brute_force_optimal(spec: DiscreteModelSpec) -> tuple[np.ndarray, Policy]:
     """Exact optimal values by enumerating every stationary policy.
 
     Each candidate policy is evaluated by solving its linear fixed-point
     system directly, so the result carries no iteration error; the optimal
     value is the pointwise maximum and the returned policy attains it
     everywhere.  Only meant for tiny models: at most 12 live cells and 3
-    actions per cell.
+    actions per cell.  Policy j is the j-th of ``itertools.product`` over
+    the cells' legal actions, read from j in mixed radix; the systems are
+    gathered from the stacked dynamics and solved BRUTE_FORCE_CHUNK at a time.
     """
     validate_model(spec)
     cells, acts_per_cell, rewards, rows = _cell_dynamics(spec)
-    n = len(cells)
-    if n > MAX_BRUTE_FORCE_CELLS:
-        raise ValueError(f"{n} live cells exceeds the enumeration bound "
-                         f"{MAX_BRUTE_FORCE_CELLS}")
-    if max(len(a) for a in acts_per_cell) > MAX_BRUTE_FORCE_ACTIONS:
-        raise ValueError("more than 3 actions at some cell")
-
-    eye = np.eye(n)
+    counts = np.array([len(a) for a in acts_per_cell])
+    total, n = math.prod(counts.tolist()), len(cells)
+    strides = total // np.cumprod(counts)  # the last cell varies fastest
     best_vals = np.full(n, -np.inf)
-    combo_iter = itertools.product(*acts_per_cell)
-    while True:
-        chunk = list(itertools.islice(combo_iter, batch))
-        if not chunk:
-            break
-        mats = np.empty((len(chunk), n, n))
-        rhs = np.empty((len(chunk), n))
-        for j, assign in enumerate(chunk):
-            for i, (c, a) in enumerate(zip(cells, assign)):
-                mats[j, i] = -rows[(c, a)]
-                rhs[j, i] = rewards[(c, a)]
-            mats[j] += eye
-        vals = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        index = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total))
+        slots = index[:, None] // strides % counts  # (policy, cell)
+        vals = np.linalg.solve(np.eye(n) - rows[np.arange(n), slots],
+                               rewards[np.arange(n), slots][:, :, None])[:, :, 0]
         best_vals = np.maximum(best_vals, vals.max(axis=0))
 
     # the pointwise maximum is attained by the policy that is greedy with
     # respect to it
     assign = []
-    for c, acts in zip(cells, acts_per_cell):
-        qs = [rewards[(c, a)] + rows[(c, a)] @ best_vals for a in acts]
+    for i, acts in enumerate(acts_per_cell):
+        qs = [rewards[i, j] + rows[i, j] @ best_vals for j in range(len(acts))]
         assign.append(acts[int(np.argmax(qs))])
 
     rule = VARIANT_RULES[spec.variant]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from organstop import (
     Action,
@@ -13,6 +14,8 @@ from organstop import (
     robust_value_iteration,
     solve_value_iteration,
 )
+from organstop import robust
+from organstop.robust import kl_worst_cases
 
 from helpers import random_living_donor_spec
 
@@ -97,6 +100,61 @@ def test_worst_case_constant_values():
     np.testing.assert_allclose(p, q)
 
 
+def vertex_distance(q, v):
+    """KL distance from q to q conditioned on its least supported values."""
+    support = q > 0
+    argmin = support & (v <= v[support].min() + 1e-15)
+    return -np.log(q[argmin].sum())
+
+
+@st.composite
+def kl_problems(draw):
+    """Rows with zero-mass atoms and tied minima, one shared value vector,
+    and per row a radius at 0, inside, at or past the vertex distance."""
+    n = draw(st.integers(2, 6))
+    levels = st.sampled_from([0.0, 0.5, 1.0, 2.5])  # ties, at the minimum too
+    v = np.array(draw(st.lists(levels | st.floats(0.0, 10.0),
+                               min_size=n, max_size=n)))
+    mass = st.sampled_from([0.0, 0.0, 1e-6]) | st.floats(0.01, 1.0)
+    rows, radii = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        w = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+        w[draw(st.integers(0, n - 1))] += 0.1
+        q = w / w.sum()
+        kv = max(vertex_distance(q, v), 0.0)  # rows sum to 1 up to rounding
+        where = draw(st.sampled_from(["zero", "inside", "at", "past"]))
+        radii.append({"zero": 0.0,
+                      "inside": kv * draw(st.floats(1e-6, 0.999)),
+                      "at": kv,
+                      "past": kv + draw(st.floats(0.0, 3.0))}[where])
+        rows.append(q)
+    return np.array(rows), v, np.array(radii)
+
+
+@given(kl_problems())
+def test_batched_worst_case_properties(problem):
+    q, v, radii = problem
+    p, worst = kl_worst_cases(q, v, radii)
+    for i in range(len(q)):
+        support = q[i] > 0
+        assert p[i].sum() == pytest.approx(1.0, abs=1e-12)
+        assert (p[i][~support] == 0).all()
+        assert kl_divergence(p[i], q[i]) <= radii[i] + 1e-9
+        assert worst[i] <= q[i] @ v + 1e-12 * (1 + abs(q[i] @ v))
+        flat = np.ptp(v[support]) < 1e-15  # flat values keep the row
+        if not flat and radii[i] >= vertex_distance(q[i], v):
+            assert worst[i] == v[support].min()
+        p_one, worst_one = kl_worst_case(q[i], v, radii[i])
+        assert p_one.tobytes() == p[i].tobytes()
+        assert worst_one == worst[i]
+
+
+def test_worst_case_raises_rather_than_return_an_unconverged_tilt(monkeypatch):
+    monkeypatch.setattr(robust, "KL_MAX_STEPS", 1)
+    with pytest.raises(ValueError, match="not converged"):
+        kl_worst_case(np.array([0.4, 0.4, 0.2]), np.array([5.0, 1.0, 3.0]), 0.3)
+
+
 # --- robust value iteration -------------------------------------------------
 
 def test_zero_radius_matches_nominal_solve():
@@ -130,6 +188,20 @@ def test_robust_values_monotone_in_radius():
         if prev is not None:
             assert np.all(vf.values <= prev + 1e-8)
         prev = vf.values
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n_live=st.integers(1, 6),
+       radii=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
+def test_robust_values_below_nominal_and_falling_in_radius(seed, n_live, radii):
+    spec = random_living_donor_spec(np.random.default_rng(seed), n_live)
+    opts = SolveOptions(tolerance=1e-10)
+    prev, _ = solve_value_iteration(spec, opts)
+    for radius in sorted(radii):
+        amb = AmbiguitySpec(np.full(spec.n_patient, radius))
+        vf, _ = robust_value_iteration(spec, amb, opts)
+        assert np.all(vf.values <= prev.values + 1e-8)
+        prev = vf
 
 
 def test_compare_robust_myopic_report():

@@ -31,6 +31,7 @@ from organstop.model import VARIANT_RULES
 from organstop.simulate import trajectory_rng
 
 from helpers import random_base_spec, random_dialysis_spec, random_spec
+from reference_brute_force import brute_force_reference
 
 
 def deterministic_chain():
@@ -123,6 +124,20 @@ def test_brute_force_bounds():
     spec = random_base_spec(np.random.default_rng(15), n_live=5, n_offered=3)
     with pytest.raises(ValueError):
         brute_force_optimal(spec)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_brute_force_matches_per_policy_reference(variant):
+    # combined and dialysis specs mix cells with 2 and 3 legal actions
+    n_live, n_offered = (2, 1) if variant is Variant.DIALYSIS else (3, 2)
+    spec = random_spec(np.random.default_rng(17), variant, n_live, n_offered)
+    counts = {len(a) for a in simulate._cell_dynamics(spec)[1]}
+    if variant in (Variant.COMBINED, Variant.DIALYSIS):
+        assert {2, 3} <= counts
+    values, policy = brute_force_optimal(spec)
+    ref_values, ref_actions = brute_force_reference(spec, batch=97)
+    assert values.tobytes() == ref_values.tobytes()
+    np.testing.assert_array_equal(np.asarray(policy.actions), ref_actions)
 
 
 def test_seed_batches_have_consistent_variance():
