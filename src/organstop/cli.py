@@ -79,24 +79,19 @@ def _parser():
     return p
 
 
-def _load(path):
-    try:
-        return docio.load_document(path)
-    except FileNotFoundError:
-        print(f"error: input file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
-
-
-def _load_json(path):
+def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         print(f"error: input file not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
     except json.JSONDecodeError as exc:
         print(f"error: $: not valid JSON: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION) from None
+    if not isinstance(raw, dict):
+        raise docio.DocumentError("$", "document root must be an object")
+    return raw
 
 
 def _solve_from_args(doc, args):
@@ -108,7 +103,7 @@ def _solve_from_args(doc, args):
 
 
 def cmd_solve(args) -> int:
-    doc = _load(args.input)
+    doc = docio.parse_document(_load_json(args.input))
     vf, policy = _solve_from_args(doc, args)
     docio.dump_document(
         docio.solve_results_document(doc.spec, vf, policy), args.output)
@@ -118,8 +113,9 @@ def cmd_solve(args) -> int:
 def cmd_analyze(args) -> int:
     raw = _load_json(args.input)
     if raw.get("kind") == "solve_results":
-        spec = docio.parse_model_section(raw["model"])
-        policy = Policy(spec.variant, np.asarray(raw["policy"], dtype=np.int64))
+        spec = docio.parse_model_section(docio._require(raw, "model", "$"))
+        policy = Policy(spec.variant, np.asarray(
+            docio._require(raw, "policy", "$"), dtype=np.int64))
     else:
         doc = docio.parse_document(raw)
         _, policy = _solve_from_args(doc, args)
@@ -132,7 +128,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load(args.input)
+    doc = docio.parse_document(_load_json(args.input))
     vf, policy = _solve_from_args(doc, args)
     est = simulate.estimate_policy_value(doc.spec, policy, args.trajectories,
                                          args.seed)
@@ -149,7 +145,7 @@ def _initial_value(spec, vf):
 
 
 def cmd_continuous(args) -> int:
-    doc = _load(args.input)
+    doc = docio.parse_document(_load_json(args.input))
     cspec = doc.continuous
     if cspec is None:
         print("error: document has no continuous section", file=sys.stderr)
@@ -189,11 +185,12 @@ def cmd_plot(args) -> int:
     raw = _load_json(args.input)
     kind = raw.get("kind")
     if kind in ("solve_results", "structure_results"):
-        svg = render_region_svg(np.asarray(raw["policy"]))
+        svg = render_region_svg(np.asarray(docio._require(raw, "policy", "$")))
     elif kind == "curve_results":
         critical = [float(t) for t in raw.get("critical_times", [])
                     if t != "inf"]
-        svg = render_curve_svg(raw["times"], raw["values"], critical)
+        svg = render_curve_svg(docio._require(raw, "times", "$"),
+                               docio._require(raw, "values", "$"), critical)
     else:
         print(f"error: unknown document kind {kind!r}", file=sys.stderr)
         return EXIT_USAGE

@@ -395,8 +395,10 @@ def _offer_value_expectation(offers, lam, beta):
     """
     beta = np.asarray(beta, dtype=float)
     live = beta > 0
-    c = np.where(live, np.asarray(lam, dtype=float) / np.where(live, beta, 1.0),
-                 offers.upper)
+    # a subnormal beta overflows lam / beta to inf, where psi(inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        c = np.where(live, np.asarray(lam, dtype=float) / np.where(live, beta, 1.0),
+                     offers.upper)
     return lam + beta * offers.excess_integral(c)
 
 

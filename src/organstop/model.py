@@ -450,12 +450,17 @@ def check_monotone_rewards(spec: DiscreteModelSpec) -> MonotonicityReport:
     )
 
 
-def _axis_permutation(n, special_index, reversed_live):
-    """old indices in canonical order: live states first, special index last."""
-    live = [i for i in range(n) if i != special_index]
-    if reversed_live:
-        live = live[::-1]
-    return np.array(live + [special_index])
+def _canonical_permutations(spec: DiscreteModelSpec):
+    """Old patient and organ indices in canonical order: live states from
+    best to worst, then the death or no-offer index."""
+    def order(n, special_index, orientation):
+        live = [i for i in range(n) if i != special_index]
+        if orientation is Orientation.LARGER_IS_BETTER:
+            live = live[::-1]
+        return np.array(live + [special_index])
+
+    return (order(spec.n_patient, spec.death_index, spec.patient_orientation),
+            order(spec.n_organ, spec.no_offer_index, spec.organ_orientation))
 
 
 def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
@@ -467,12 +472,7 @@ def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
     """
     if spec.is_canonical():
         return spec
-    perm_h = _axis_permutation(
-        spec.n_patient, spec.death_index,
-        spec.patient_orientation is Orientation.LARGER_IS_BETTER)
-    perm_k = _axis_permutation(
-        spec.n_organ, spec.no_offer_index,
-        spec.organ_orientation is Orientation.LARGER_IS_BETTER)
+    perm_h, perm_k = _canonical_permutations(spec)
 
     inv_k = np.argsort(perm_k)
     new = replace(

@@ -1,42 +1,57 @@
 """Control-limit structure extraction for solved policies.
 
-All functions interpret the policy grid in canonical orientation (larger
-index = worse, death row last, no-offer column last).  Death rows are always
-excluded from analysis; no-offer columns are excluded except where a check
-explicitly quantifies over them (the constant-tail clause of the
-at-most-2-region check).
+All functions read the policy grid as runs in canonical orientation (larger
+index = worse, death row last, no-offer column last); line indices, witness
+lines and region cells keep input labels.  Death rows are always excluded
+from analysis; no-offer columns are excluded except where a check explicitly
+quantifies over them (the constant-tail clause of the at-most-2-region check).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Action, DiscreteModelSpec, ModelValidationError, Policy, Variant
+from .model import (Action, DiscreteModelSpec, ModelValidationError, Policy,
+                    Variant, _canonical_permutations)
 
 #: (action code, start, stop) -- one maximal constant run, stop exclusive
 Run = tuple[int, int, int]
 
+_TRANSPLANTS = np.array([Action.TRANSPLANT, Action.TRANSPLANT_LIVING])
+
+
+class _Runs(NamedTuple):
+    """Every maximal constant run along axis 1 of a 2-D grid, row-major."""
+    line: np.ndarray     # the row of each run
+    start: np.ndarray
+    stop: np.ndarray     # exclusive
+    action: np.ndarray
+    bounds: np.ndarray   # the runs of row i are bounds[i]:bounds[i + 1]
+    cell: np.ndarray     # the run id of every cell
+
+
+def _runs(grid: np.ndarray) -> _Runs:
+    n, m = grid.shape
+    begins = np.ones((n, m), dtype=bool)
+    begins[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    line, start = np.nonzero(begins)
+    stop = np.nonzero(np.roll(begins, -1, axis=1))[1] + 1  # run ends precede begins
+    return _Runs(line, start, stop, grid[line, start],
+                 np.searchsorted(line, np.arange(n + 1)),
+                 np.cumsum(begins).reshape(n, m) - 1)
+
+
+def _run_tuples(runs: _Runs) -> list[Run]:
+    return list(zip(runs.action.tolist(), runs.start.tolist(),
+                    runs.stop.tolist()))
+
 
 def action_runs(line: np.ndarray) -> list[Run]:
     """Maximal constant runs of a 1-D action line."""
-    runs: list[Run] = []
-    start = 0
-    for i in range(1, len(line) + 1):
-        if i == len(line) or line[i] != line[start]:
-            runs.append((int(line[start]), start, i))
-            start = i
-    return runs
-
-
-def _first_repeat(runs: list[Run]):
-    seen: dict[int, Run] = {}
-    for run in runs:
-        if run[0] in seen:
-            return run[0], seen[run[0]], run
-        seen[run[0]] = run
-    return None
+    return _run_tuples(_runs(np.asarray(line)[None, :]))
 
 
 @dataclass(frozen=True)
@@ -64,64 +79,65 @@ class ControlLimitReport:
     witness: tuple | None
 
 
-def _grid(spec: DiscreteModelSpec, policy: Policy) -> np.ndarray:
+def _grid(spec: DiscreteModelSpec, policy: Policy):
+    """Live rows x all columns in canonical order, with their input labels."""
     if spec.variant in (Variant.LIVING_DONOR, Variant.DIALYSIS):
         raise ModelValidationError(
             [f"structure analysis needs a 2-D policy, got {spec.variant.value}"])
-    live = [h for h in range(spec.n_patient) if h != spec.death_index]
-    return np.asarray(policy.actions)[live, :]
+    perm_h, cols = _canonical_permutations(spec)
+    rows = perm_h[:-1]
+    return np.asarray(policy.actions)[np.ix_(rows, cols)], rows, cols
 
 
-def _offered(spec: DiscreteModelSpec) -> list[int]:
-    return [k for k in range(spec.n_organ) if k != spec.no_offer_index]
+def _scan_axis(lines: np.ndarray, labels: np.ndarray,
+               axis: str) -> ControlLimitReport:
+    """Control-limit scan of each row of ``lines``, named by ``labels``.
 
-
-def _scan_axis(lines, axis: str) -> ControlLimitReport:
-    reports = []
-    witness = None
-    for idx, line in lines:
-        runs = action_runs(line)
-        reports.append(LineRuns(idx, tuple(runs)))
-        if witness is None:
-            rep = _first_repeat(runs)
-            if rep is not None:
-                witness = (idx, rep[0], rep[1][1:], rep[2][1:])
-    thresholds = None
-    if witness is None:
-        thresholds = _threshold_form(reports, axis)
+    A line is a control limit iff no action repeats among its runs; the
+    witness is the first repeat, with the first run of its action.
+    """
+    runs = _runs(lines)
+    tuples = _run_tuples(runs)
+    bounds = runs.bounds.tolist()
+    labels = labels.tolist()
+    reports = tuple(LineRuns(idx, tuple(tuples[a:b]))
+                    for idx, a, b in zip(labels, bounds, bounds[1:]))
+    code = np.unique(runs.action, return_inverse=True)[1]
+    _, first, group = np.unique(runs.line * (len(code) + 1) + code,
+                                return_index=True, return_inverse=True)
+    first = first[group]     # the first run of each run's line and action
+    repeat = first != np.arange(len(first))
+    witness = thresholds = None
+    if repeat.any():
+        r = int(np.argmax(repeat))
+        witness = (labels[runs.line[r]], tuples[r][0], tuples[first[r]][1:],
+                   tuples[r][1:])
+    else:
+        thresholds = _threshold_form(runs, lines.shape[1], axis)
     return ControlLimitReport(axis=axis, is_control_limit=witness is None,
-                              lines=tuple(reports), thresholds=thresholds,
+                              lines=reports, thresholds=thresholds,
                               witness=witness)
 
 
-def _threshold_form(reports, axis):
+def _threshold_form(runs: _Runs, length: int, axis: str):
     """Per-line thresholds, or None unless every line has the classic shape.
 
     Along the patient axis a line must be a wait block followed by a
     transplant block; along the organ axis, a transplant block followed by
     a wait block.  Either block may be empty.
     """
-    out = []
-    for rep in reports:
-        runs = rep.runs
-        acts = [r[0] for r in runs]
-        transplant = [a for a in acts if a in (Action.TRANSPLANT,
-                                               Action.TRANSPLANT_LIVING)]
-        if len(runs) == 1:
-            if transplant:
-                out.append(runs[0][1] if axis == "patient" else runs[0][2] - 1)
-            else:
-                out.append(runs[-1][2] if axis == "patient" else -1)
-        elif len(runs) == 2 and len(transplant) == 1:
-            if axis == "patient" and acts[0] == Action.WAIT and acts[1] in transplant:
-                out.append(runs[1][1])
-            elif axis == "organ" and acts[0] in transplant and acts[1] == Action.WAIT:
-                out.append(runs[0][2] - 1)
-            else:
-                return None
-        else:
-            return None
-    return np.array(out)
+    count = np.diff(runs.bounds)
+    if not np.isin(count, (1, 2)).all():
+        return None
+    last, first = runs.bounds[1:] - 1, runs.bounds[:-1]
+    block, other = (last, first) if axis == "patient" else (first, last)
+    transplant = np.isin(runs.action[block], _TRANSPLANTS)
+    shaped = (count == 1) | (transplant & (runs.action[other] == Action.WAIT))
+    if not shaped.all():
+        return None
+    if axis == "patient":
+        return np.where(transplant, runs.start[block], length)
+    return np.where(transplant, runs.stop[block] - 1, -1)
 
 
 def extract_patient_control_limits(spec: DiscreteModelSpec,
@@ -131,34 +147,27 @@ def extract_patient_control_limits(spec: DiscreteModelSpec,
     The policy is patient-based control limit iff, for every organ state,
     each action occupies at most one maximal interval of patient states.
     """
-    grid = _grid(spec, policy)
-    lines = [(k, grid[:, k]) for k in _offered(spec)]
-    return _scan_axis(lines, "patient")
+    grid, _, cols = _grid(spec, policy)
+    return _scan_axis(grid[:, :-1].T, cols[:-1], "patient")
 
 
 def extract_organ_control_limits(spec: DiscreteModelSpec,
                                  policy: Policy) -> ControlLimitReport:
     """Mirror of :func:`extract_patient_control_limits` along the organ axis."""
-    grid = _grid(spec, policy)
-    live = [h for h in range(spec.n_patient) if h != spec.death_index]
-    offered = _offered(spec)
-    lines = [(h, grid[i, offered]) for i, h in enumerate(live)]
-    return _scan_axis(lines, "organ")
+    grid, rows, _ = _grid(spec, policy)
+    return _scan_axis(grid[:, :-1], rows, "organ")
 
 
 def reconstruct_policy(spec: DiscreteModelSpec,
                        report: ControlLimitReport) -> np.ndarray:
-    """Rebuild the live (patient x offered-organ) action grid from runs."""
-    live = [h for h in range(spec.n_patient) if h != spec.death_index]
-    offered = _offered(spec)
-    grid = np.full((len(live), len(offered)), int(Action.NONE))
-    k_pos = {k: j for j, k in enumerate(offered)}
+    """Rebuild the canonical live (patient x offered-organ) grid from runs."""
+    perm_h, perm_k = _canonical_permutations(spec)
+    grid = np.full((len(perm_h) - 1, len(perm_k) - 1), int(Action.NONE))
+    lines, labels = (grid.T, perm_k) if report.axis == "patient" else (grid, perm_h)
+    position = {label: i for i, label in enumerate(labels.tolist())}
     for rep in report.lines:
         for action, start, stop in rep.runs:
-            if report.axis == "patient":
-                grid[start:stop, k_pos[rep.index]] = action
-            else:
-                grid[live.index(rep.index), start:stop] = action
+            lines[position[rep.index], start:stop] = action
     return grid
 
 
@@ -178,26 +187,19 @@ class Am2roReport:
 
 
 def check_am2ro(spec: DiscreteModelSpec, policy: Policy) -> Am2roReport:
+    """A row holds iff it is one run, or two runs led by TRANSPLANT."""
     if spec.variant is not Variant.COMBINED:
         raise ModelValidationError(
             [f"at-most-2-region check requires the combined variant, got "
              f"{spec.variant.value}"])
-    grid = _grid(spec, policy)
-    live = [h for h in range(spec.n_patient) if h != spec.death_index]
-    limits = np.empty(len(live), dtype=int)
-    tails = np.empty(len(live), dtype=int)
-    for i in range(len(live)):
-        row = grid[i, :]  # offered organs in quality order, then no-offer
-        accept = row == Action.TRANSPLANT
-        kstar = int(np.argmin(accept)) - 1 if not accept.all() else len(row) - 1
-        if accept[kstar + 1:].any():       # accept set is not a prefix
-            return Am2roReport(False, None, None, i)
-        tail = row[kstar + 1:]
-        if tail.size and not (tail == tail[0]).all():
-            return Am2roReport(False, None, None, i)
-        limits[i] = kstar
-        tails[i] = tail[0] if tail.size else Action.TRANSPLANT
-    return Am2roReport(True, limits, tails, None)
+    runs = _runs(_grid(spec, policy)[0])
+    count, head = np.diff(runs.bounds), runs.bounds[:-1]
+    accept = runs.action[head] == Action.TRANSPLANT
+    holds = (count == 1) | ((count == 2) & accept)
+    if not holds.all():
+        return Am2roReport(False, None, None, int(np.argmin(holds)))
+    limits = np.where(accept, runs.stop[head] - 1, -1)
+    return Am2roReport(True, limits, runs.action[runs.bounds[1:] - 1], None)
 
 
 @dataclass(frozen=True)
@@ -219,27 +221,27 @@ class Am3rReport:
 
 
 def check_am3r(spec: DiscreteModelSpec, policy: Policy) -> Am3rReport:
+    return _am3r(spec, policy, region_connectivity(spec, policy))
+
+
+def _am3r(spec, policy, regions) -> Am3rReport:
+    """WAIT may occur only in a column's first run."""
     am2 = check_am2ro(spec, policy)
-    grid = _grid(spec, policy)
-    limits = np.empty(grid.shape[1], dtype=int)
-    witness = None
-    for k in range(grid.shape[1]):
-        col = grid[:, k]
-        waiting = col == Action.WAIT
-        hstar = int(np.argmin(waiting)) - 1 if not waiting.all() else len(col) - 1
-        if waiting[hstar + 1:].any():
-            witness = k
-            break
-        limits[k] = hstar
-    regions = region_connectivity(spec, policy)
+    grid = _grid(spec, policy)[0]
+    runs = _runs(grid.T)
+    wait = runs.action == Action.WAIT
+    late = runs.line[wait & (runs.start > 0)]
+    limits = np.full(grid.shape[1], -1)
+    prefix = wait & (runs.start == 0)
+    limits[runs.line[prefix]] = runs.stop[prefix] - 1
     n_actions = len({r.action for r in regions})
     return Am3rReport(
-        holds=witness is None and am2.holds,
-        limits=None if witness is not None else limits,
+        holds=late.size == 0 and am2.holds,
+        limits=None if late.size else limits,
         am2ro=am2,
         region_count=len(regions),
         disconnected=len(regions) > n_actions,
-        witness_column=witness,
+        witness_column=int(late[0]) if late.size else None,
     )
 
 
@@ -253,34 +255,36 @@ def region_connectivity(spec: DiscreteModelSpec, policy: Policy) -> list[Region]
     """4-neighbor connected components of equal-action cells.
 
     The grid is restricted to live patient rows and offer-present columns;
-    the regions partition it.
+    the regions partition it.  Row runs join where vertically adjacent cells
+    are equal; regions are numbered by their first cell in canonical order.
     """
-    grid = _grid(spec, policy)
-    live = [h for h in range(spec.n_patient) if h != spec.death_index]
-    offered = _offered(spec)
-    sub = grid[:, offered]
-    nh, nk = sub.shape
-    seen = np.zeros(sub.shape, dtype=bool)
-    regions: list[Region] = []
-    for i in range(nh):
-        for j in range(nk):
-            if seen[i, j]:
-                continue
-            action = sub[i, j]
-            stack = [(i, j)]
-            seen[i, j] = True
-            cells = []
-            while stack:
-                a, b = stack.pop()
-                cells.append((live[a], offered[b]))
-                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    na, nb = a + da, b + db
-                    if 0 <= na < nh and 0 <= nb < nk and not seen[na, nb] \
-                            and sub[na, nb] == action:
-                        seen[na, nb] = True
-                        stack.append((na, nb))
-            regions.append(Region(int(action), tuple(sorted(cells))))
-    return regions
+    grid, rows, cols = _grid(spec, policy)
+    sub, cols = grid[:, :-1], cols[:-1]
+    runs = _runs(sub)
+    n = len(runs.action)
+    same = sub[1:] == sub[:-1]
+    links = np.unique(runs.cell[:-1][same] * n + runs.cell[1:][same])
+    parent = list(range(n))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for a, b in zip((links // n).tolist(), (links % n).tolist()):
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)   # every root is its smallest run id
+    roots, label = np.unique(np.fromiter(map(find, range(n)), np.int64, n),
+                             return_inverse=True)
+
+    cells = [[] for _ in roots]     # row-major within each region
+    row_labels, col_labels = rows.tolist(), cols.tolist()
+    for region, line, start, stop in zip(label.tolist(), runs.line.tolist(),
+                                         runs.start.tolist(), runs.stop.tolist()):
+        h = row_labels[line]
+        cells[region] += [(h, k) for k in col_labels[start:stop]]
+    return [Region(action, tuple(sorted(c)))
+            for action, c in zip(runs.action[roots].tolist(), cells)]
 
 
 @dataclass(frozen=True)
@@ -294,15 +298,12 @@ class StructureReport:
 
 def analyze_policy(spec: DiscreteModelSpec, policy: Policy) -> StructureReport:
     """Full structure classification of a 2-D policy."""
-    am2 = am3 = None
-    if spec.variant is Variant.COMBINED:
-        am2 = check_am2ro(spec, policy)
-        am3 = check_am3r(spec, policy)
+    regions = region_connectivity(spec, policy)
+    am3 = _am3r(spec, policy, regions) if spec.variant is Variant.COMBINED else None
     return StructureReport(
         patient_based=extract_patient_control_limits(spec, policy),
         organ_based=extract_organ_control_limits(spec, policy),
-        regions=region_connectivity(spec, policy),
-        am2ro=am2, am3r=am3,
+        regions=regions, am2ro=am3 and am3.am2ro, am3r=am3,
     )
 
 
@@ -313,16 +314,12 @@ def policy_from_organ_limits(spec: DiscreteModelSpec,
     ``limits`` is indexed by live patient state (canonical order); -1 means
     never accept.  Useful for round-trip tests and perturbation sweeps.
     """
+    perm_h, perm_k = _canonical_permutations(spec)
+    accept = np.arange(spec.n_organ - 1) <= np.asarray(limits)[:, None]
     actions = np.full((spec.n_patient, spec.n_organ), int(Action.WAIT))
-    live = [h for h in range(spec.n_patient) if h != spec.death_index]
-    offered = _offered(spec)
-    for i, h in enumerate(live):
-        for j, k in enumerate(offered):
-            if j <= limits[i]:
-                actions[h, k] = Action.TRANSPLANT
+    actions[np.ix_(perm_h[:-1], perm_k[:-1])] = np.where(
+        accept, Action.TRANSPLANT, Action.WAIT)
     actions[spec.death_index, :] = Action.NONE
-    actions[:, spec.no_offer_index] = np.where(
-        actions[:, spec.no_offer_index] == Action.NONE, Action.NONE, Action.WAIT)
     return Policy(spec.variant, actions)
 
 
@@ -334,12 +331,11 @@ def threshold_1d(actions: np.ndarray, death_index: int,
     provided the transplant set is a contiguous suffix of the live states
     (len(live) when the policy never transplants).
     """
-    live = [h for h in range(len(actions)) if h != death_index]
-    line = np.asarray(actions)[live]
-    accepts = line == transplant_action
-    if not accepts.any():
-        return len(live)
-    first = int(np.argmax(accepts))
-    if accepts[first:].all():
-        return first
+    line = np.delete(np.asarray(actions), death_index)
+    runs = _runs(line[None, :])
+    transplant = runs.action == transplant_action
+    if not transplant.any():
+        return len(line)
+    if transplant.sum() == 1 and transplant[-1]:   # one run, the last
+        return int(runs.start[-1])
     return None

@@ -4,6 +4,8 @@ All generators emit canonical specs (larger index = worse, death row last,
 no-offer column last) so structure checks can be applied directly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from organstop import (
@@ -178,6 +180,33 @@ def random_spec(rng, variant, n_live=2, n_offered=1):
     if variant is Variant.CONTINUOUS_ANALOG:
         return random_analog_spec(rng, n_live, n_offered)
     return random_base_spec(rng, n_live, n_offered, variant=variant)
+
+
+def reversal_permutations(spec):
+    """Old patient and organ indices of :func:`reversed_spec`'s states."""
+    return ([spec.death_index] + spec.live_patients()[::-1].tolist(),
+            [spec.no_offer_index] + spec.offered_organs()[::-1].tolist())
+
+
+def reversed_spec(spec):
+    """Same 2-D model with death and no-offer moved to index 0, both live
+    axes reversed and the orientation flags flipped."""
+    perm_h, perm_k = reversal_permutations(spec)
+    cells = np.ix_(perm_h, perm_k)
+    return validate_model(replace(
+        spec,
+        death_index=0, no_offer_index=0,
+        transition=spec.transition[np.ix_(perm_h, perm_h)],
+        offer_prob=spec.offer_prob[cells],
+        wait_reward=spec.wait_reward[perm_h],
+        transplant_reward=spec.transplant_reward[cells],
+        success_prob=(None if spec.success_prob is None
+                      else spec.success_prob[cells]),
+        living_donor_state=(None if spec.living_donor_state is None
+                            else perm_k.index(spec.living_donor_state)),
+        patient_orientation=Orientation.LARGER_IS_BETTER,
+        organ_orientation=Orientation.LARGER_IS_BETTER,
+    ))
 
 
 def risk_base_spec(rng, n_live=3, n_offered=2, min_death=0.1):

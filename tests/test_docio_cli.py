@@ -206,9 +206,31 @@ def test_cli_solve_non_convergence_exit_code(tmp_path):
     assert code == cli.EXIT_NO_CONVERGENCE
 
 
-def test_cli_missing_input(tmp_path):
-    assert cli.main(["solve", "--input", str(tmp_path / "nope.json"),
-                     "--output", str(tmp_path / "o.json")]) == cli.EXIT_USAGE
+COMMANDS = ["solve", "analyze", "simulate", "continuous", "plot"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_unreadable_input(tmp_path, capsys, command):
+    def run(text):
+        inp = tmp_path / "in.json"
+        if text is None:
+            inp.unlink(missing_ok=True)
+        else:
+            inp.write_text(text)
+        return cli.main([command, "--input", str(inp),
+                         "--output", str(tmp_path / "out.json")])
+
+    assert run(None) == cli.EXIT_USAGE
+    assert "input file not found" in capsys.readouterr().err
+    assert run("{not json") == cli.EXIT_VALIDATION
+    assert "$: not valid JSON" in capsys.readouterr().err
+    assert run("[1, 2]") == cli.EXIT_VALIDATION
+    assert "$: document root must be an object" in capsys.readouterr().err
+    if command in ("analyze", "plot"):
+        spec = random_base_spec(np.random.default_rng(6))
+        doc = {"kind": "solve_results", "model": docio.model_section(spec)}
+        assert run(json.dumps(doc)) == cli.EXIT_VALIDATION
+        assert "$.policy: missing required field" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_usage(tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from organstop import (
     Action,
@@ -22,12 +23,15 @@ from organstop import (
     validate_policy,
     validation_errors,
 )
-from organstop.solver import SolveOptions, solve_value_iteration
+from organstop.solver import SolveOptions, TieBreak, solve_value_iteration
 
 from helpers import (
     random_analog_spec,
     random_base_spec,
     random_dialysis_spec,
+    random_spec,
+    reversal_permutations,
+    reversed_spec,
     structured_base_spec,
 )
 
@@ -206,27 +210,6 @@ def test_monotone_rewards_violation():
 
 # --- canonicalization ------------------------------------------------------
 
-def reversed_spec(spec):
-    """Same model with both live axes reversed and flags flipped."""
-    H, K = spec.n_patient, spec.n_organ
-    # move death to index 0 and reverse live order; same for no-offer
-    perm_h = [spec.death_index] + list(spec.live_patients()[::-1])
-    perm_k = [spec.no_offer_index] + list(spec.offered_organs()[::-1])
-    trans = spec.transition[np.ix_(perm_h, perm_h)]
-    return validate_model(DiscreteModelSpec(
-        variant=spec.variant,
-        n_patient=H, death_index=0,
-        n_organ=K, no_offer_index=0,
-        transition=trans,
-        offer_prob=spec.offer_prob[np.ix_(perm_h, perm_k)],
-        wait_reward=spec.wait_reward[perm_h],
-        transplant_reward=spec.transplant_reward[np.ix_(perm_h, perm_k)],
-        discount=spec.discount,
-        patient_orientation=Orientation.LARGER_IS_BETTER,
-        organ_orientation=Orientation.LARGER_IS_BETTER,
-    ))
-
-
 def test_canonicalize_is_identity_on_canonical():
     spec = random_base_spec(np.random.default_rng(0))
     c = canonicalize_orientation(spec)
@@ -243,20 +226,23 @@ def test_canonicalize_recovers_reversed_spec():
     assert np.allclose(back.transplant_reward, spec.transplant_reward)
 
 
-def test_canonicalize_preserves_optimal_values():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        spec = random_base_spec(rng)
-        flipped = reversed_spec(spec)
-        vf_a, _ = solve_value_iteration(spec, SolveOptions(tolerance=1e-10))
-        vf_b, _ = solve_value_iteration(flipped, SolveOptions(tolerance=1e-10))
-        # index remap: canonical (h, k) sits at (perm position) in flipped
-        perm_h = [spec.death_index] + list(spec.live_patients()[::-1])
-        perm_k = [spec.no_offer_index] + list(spec.offered_organs()[::-1])
-        assert np.allclose(vf_a.values,
-                           vf_b.values[np.ix_(np.argsort(perm_h),
-                                              np.argsort(perm_k))],
-                           atol=1e-9)
+@given(variant=st.sampled_from([Variant.BASE, Variant.COMBINED,
+                                 Variant.CONTINUOUS_ANALOG]),
+       n_live=st.integers(1, 4), n_offered=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       tie_break=st.sampled_from(list(TieBreak)))
+def test_canonicalize_preserves_optimal_values(variant, n_live, n_offered,
+                                               seed, tie_break):
+    spec = random_spec(np.random.default_rng(seed), variant, n_live, n_offered)
+    opts = SolveOptions(tolerance=1e-10, tie_break=tie_break)
+    vf_a, pol_a = solve_value_iteration(spec, opts)
+    vf_b, pol_b = solve_value_iteration(reversed_spec(spec), opts)
+    # canonical (h, k) sits at (inv_h[h], inv_k[k]) in the reversed spec
+    inv_h, inv_k = (np.argsort(p) for p in reversal_permutations(spec))
+    np.testing.assert_allclose(vf_b.values[np.ix_(inv_h, inv_k)], vf_a.values,
+                               rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(pol_b.actions[np.ix_(inv_h, inv_k)],
+                                  pol_a.actions)
 
 
 def test_dialysis_spec_shapes_validate():

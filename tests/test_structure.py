@@ -1,12 +1,16 @@
 """Control-limit extraction, region geometry, and the fixture policies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from organstop import (
     Action,
     ModelValidationError,
     Policy,
+    Variant,
     analyze_policy,
     check_am2ro,
     check_am3r,
@@ -15,7 +19,9 @@ from organstop import (
     policy_from_organ_limits,
     reconstruct_policy,
     region_connectivity,
+    solve_value_iteration,
     threshold_1d,
+    validate_model,
 )
 from organstop.counterexamples import (
     connected_regions,
@@ -24,7 +30,10 @@ from organstop.counterexamples import (
 )
 from organstop.structure import action_runs
 
-from helpers import random_base_spec, random_living_donor_spec
+from helpers import (random_base_spec, random_living_donor_spec,
+                     reversal_permutations, reversed_spec,
+                     structured_base_spec)
+from reference_structure import reference_analysis
 
 W, T, L, N = (int(Action.WAIT), int(Action.TRANSPLANT),
               int(Action.TRANSPLANT_LIVING), int(Action.NONE))
@@ -148,3 +157,104 @@ def test_am3r_witness_column():
     rep = check_am3r(spec, Policy(spec.variant, actions))
     assert not rep.holds
     assert rep.witness_column == 0
+
+
+# --- the run table against the reference, and orientation --------------------
+
+@st.composite
+def combined_policies(draw):
+    """A canonical combined-variant spec with a policy over 1-4 actions:
+    random cells, a checkerboard, or organ-limit rows with a constant tail."""
+    n_live, n_offered = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    codes = draw(st.lists(st.sampled_from([W, T, L, N]), min_size=1,
+                          max_size=4, unique=True))
+    kind = draw(st.sampled_from(["random", "checkerboard", "limits"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = random_base_spec(rng, n_live, n_offered, variant=Variant.COMBINED)
+    H, K = spec.n_patient, spec.n_organ
+    if kind == "random":
+        actions = rng.choice(codes, size=(H, K))
+    elif kind == "checkerboard":
+        parity = np.add.outer(np.arange(H), np.arange(K)) % 2
+        actions = np.where(parity, codes[0], codes[-1])
+    else:
+        limits = np.sort(rng.integers(-1, n_offered, H))
+        actions = np.where(np.arange(K) <= limits[:, None], T, codes[0])
+    actions[spec.death_index] = N
+    return spec, Policy(spec.variant, actions)
+
+
+def assert_same(a, b, path="report"):
+    """Field-for-field equality of reports, arrays compared with dtype."""
+    if hasattr(a, "__dataclass_fields__"):
+        assert type(a) is type(b), path
+        for name in a.__dataclass_fields__:
+            assert_same(getattr(a, name), getattr(b, name), f"{path}.{name}")
+    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), path
+        assert a.dtype == b.dtype, path
+        np.testing.assert_array_equal(a, b, err_msg=path)
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{i}]")
+    else:
+        assert type(a) is type(b) and a == b, (path, a, b)
+
+
+@given(combined_policies())
+def test_analysis_matches_reference(case):
+    spec, pol = case
+    assert_same(analyze_policy(spec, pol), reference_analysis(spec, pol))
+
+
+def reversed_case(spec, pol):
+    """The reversed spec, its copy of the policy, and the canonical-to-
+    reversed label maps of both axes."""
+    perm_h, perm_k = reversal_permutations(spec)
+    flipped = Policy(spec.variant, pol.actions[np.ix_(perm_h, perm_k)])
+    return reversed_spec(spec), flipped, np.argsort(perm_h), np.argsort(perm_k)
+
+
+def relabelled(report, to_h, to_k):
+    """A canonical report with every input label mapped by to_h / to_k."""
+    def scan(rep, to):
+        return replace(
+            rep,
+            lines=tuple(replace(line, index=int(to[line.index]))
+                        for line in rep.lines),
+            witness=rep.witness and (int(to[rep.witness[0]]),) + rep.witness[1:])
+
+    return replace(
+        report,
+        patient_based=scan(report.patient_based, to_k),
+        organ_based=scan(report.organ_based, to_h),
+        regions=[replace(r, cells=tuple(sorted(
+            (int(to_h[h]), int(to_k[k])) for h, k in r.cells)))
+            for r in report.regions])
+
+
+@given(combined_policies())
+def test_reversed_orientation_gives_the_canonical_analysis(case):
+    spec, pol = case
+    rev_spec, rev_pol, to_h, to_k = reversed_case(spec, pol)
+    assert_same(analyze_policy(rev_spec, rev_pol),
+                relabelled(analyze_policy(spec, pol), to_h, to_k))
+
+
+def test_reversed_threshold_model_keeps_its_thresholds():
+    spec = structured_base_spec(np.random.default_rng(5), n_live=8, n_offered=5)
+    spec = validate_model(replace(spec, variant=Variant.COMBINED,
+                                  living_donor_state=4))
+    _, pol = solve_value_iteration(spec)
+    rev_spec, rev_pol, to_h, to_k = reversed_case(spec, pol)
+    np.testing.assert_array_equal(solve_value_iteration(rev_spec)[1].actions,
+                                  rev_pol.actions)
+    canonical, flipped = analyze_policy(spec, pol), analyze_policy(rev_spec, rev_pol)
+    assert canonical.organ_based.thresholds is not None
+    assert canonical.am2ro.holds and canonical.am3r.holds
+    assert_same(flipped, relabelled(canonical, to_h, to_k))
+    # limits read in canonical order rebuild the reversed policy
+    np.testing.assert_array_equal(
+        policy_from_organ_limits(rev_spec, flipped.am2ro.limits).actions,
+        np.where(rev_pol.actions == L, W, rev_pol.actions))
