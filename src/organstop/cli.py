@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ctime, docio, simulate, structure
 from .ctime import FixedInstants, StiffnessError
-from .model import ModelValidationError, Policy
+from .model import VARIANT_RULES, ModelValidationError, Policy, validate_policy
 from .solver import SolveOptions, solve_value_iteration
 from .svgplot import render_curve_svg, render_region_svg
 
@@ -110,12 +110,30 @@ def cmd_solve(args) -> int:
     return EXIT_OK if vf.converged else EXIT_NO_CONVERGENCE
 
 
+def _solved_policy(raw):
+    """The model of a ``solve_results`` document and its policy, checked to
+    fit the model: its shape and a legal action in every cell."""
+    spec = docio.parse_model_section(docio._require(raw, "model", "$"))
+    try:
+        actions = np.asarray(docio._require(raw, "policy", "$"), dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise docio.DocumentError("$.policy",
+                                  f"not an integer array: {exc}") from None
+    shape = VARIANT_RULES[spec.variant].value_shape(spec)
+    if actions.shape != shape:
+        raise docio.DocumentError(
+            "$.policy", f"shape {actions.shape} does not fit the model, "
+            f"expected {shape}")
+    try:
+        return spec, validate_policy(spec, Policy(spec.variant, actions))
+    except ModelValidationError as exc:
+        raise docio.DocumentError("$.policy", "; ".join(exc.errors)) from None
+
+
 def cmd_analyze(args) -> int:
     raw = _load_json(args.input)
     if raw.get("kind") == "solve_results":
-        spec = docio.parse_model_section(docio._require(raw, "model", "$"))
-        policy = Policy(spec.variant, np.asarray(
-            docio._require(raw, "policy", "$"), dtype=np.int64))
+        spec, policy = _solved_policy(raw)
     else:
         doc = docio.parse_document(raw)
         _, policy = _solve_from_args(doc, args)
@@ -184,7 +202,9 @@ def cmd_continuous(args) -> int:
 def cmd_plot(args) -> int:
     raw = _load_json(args.input)
     kind = raw.get("kind")
-    if kind in ("solve_results", "structure_results"):
+    if kind == "solve_results":
+        svg = render_region_svg(_solved_policy(raw)[1].actions)
+    elif kind == "structure_results":
         svg = render_region_svg(np.asarray(docio._require(raw, "policy", "$")))
     elif kind == "curve_results":
         critical = [float(t) for t in raw.get("critical_times", [])

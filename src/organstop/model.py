@@ -182,10 +182,10 @@ class DiscreteModelSpec:
     success_reward: float | None = None
 
     def live_patients(self) -> np.ndarray:
-        return np.array([h for h in range(self.n_patient) if h != self.death_index])
+        return np.flatnonzero(np.arange(self.n_patient) != self.death_index)
 
     def offered_organs(self) -> np.ndarray:
-        return np.array([k for k in range(self.n_organ) if k != self.no_offer_index])
+        return np.flatnonzero(np.arange(self.n_organ) != self.no_offer_index)
 
     def living_donor_reward(self) -> np.ndarray:
         return self.transplant_reward[:, self.living_donor_state]
@@ -223,6 +223,9 @@ class ValueFunction:
 
     Every solver reports the same ``residual``: max |T(V) - V| over all
     states, where V is ``values`` and T is the operator the solver iterates.
+    For a beta-contraction T (the nominal and robust solvers),
+    ``error_bound`` = residual / (1 - beta) bounds max |V - V*| to its
+    fixed point; it is None for the undiscounted risk recursions.
     """
 
     values: np.ndarray
@@ -230,17 +233,26 @@ class ValueFunction:
     residual: float
     iterations: int
     converged: bool
+    error_bound: float | None = None
 
 
 def _check_stochastic_rows(matrix, name, errors, axis_name="patient state"):
-    matrix = np.asarray(matrix, dtype=float)
-    for i, row in enumerate(matrix):
-        s = row.sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            errors.append(f"{name}: row sum {s:.12g} at {axis_name} {i}")
-        if (row < -ROW_SUM_TOL).any() or (row > 1.0 + ROW_SUM_TOL).any():
+    """Row by row, a message for a sum off 1 and one for the first entry
+    outside [0, 1]; the whole matrix is checked at once through per-row
+    sums, minima and maxima, and only bad rows are visited."""
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    sums = matrix.sum(axis=1)
+    off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
+    bad_entry = ((matrix.min(axis=1) < -ROW_SUM_TOL)
+                 | (matrix.max(axis=1) > 1.0 + ROW_SUM_TOL))
+    for i in np.flatnonzero(off_sum | bad_entry).tolist():
+        if off_sum[i]:
+            errors.append(f"{name}: row sum {sums[i]:.12g} at {axis_name} {i}")
+        if bad_entry[i]:
+            row = matrix[i]
             j = int(np.argmax((row < -ROW_SUM_TOL) | (row > 1.0 + ROW_SUM_TOL)))
-            errors.append(f"{name}: entry {row[j]:.12g} outside [0,1] at ({i},{j})")
+            errors.append(f"{name}: entry {row[j]:.12g} outside [0,1] "
+                          f"at ({i},{j})")
 
 
 def non_finite_errors(name: str, values) -> list[str]:
@@ -519,6 +531,7 @@ def validate_policy(spec: DiscreteModelSpec, policy: Policy) -> Policy:
     if not legal.all():
         g, h, k = (int(i) for i in np.argwhere(~legal)[0])
         cell = (h,) + (g,) * (len(rule.regimes) > 1) + (k,) * rule.organ_axis
-        raise ModelValidationError(
-            [f"illegal action {Action(int(actions[g, h, k])).name} at cell {cell}"])
+        code = int(actions[g, h, k])
+        name = {int(a): a.name for a in Action}.get(code, code)
+        raise ModelValidationError([f"illegal action {name} at cell {cell}"])
     return policy

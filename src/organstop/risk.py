@@ -23,7 +23,7 @@ from .model import (
     non_finite_errors,
     validate_model,
 )
-from .solver import SolveOptions, _solve, marginal_values
+from .solver import SolveOptions, _Continuation, _solve
 
 #: iterations without residual improvement before declaring divergence
 DIVERGENCE_WINDOW = 1000
@@ -110,20 +110,23 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     validate_model(spec)
     _check_2d(spec)
     gamma = risk.risk_coefficient
+    live = spec.live_patients()
     saturated = False
+    # utility is increasing: the organs declined at u are those whose
+    # utility of 1 + T is at most u's, so the offer average splits alike
+    problem = _Continuation(spec, {Action.TRANSPLANT: _transplant_ce(spec, risk)},
+                            payoff=lambda t: exp_utility(1.0 + t, gamma))
 
-    def waits(V):
+    def waits(u, declined):
         nonlocal saturated
-        u_next = exp_utility(1.0 + V, gamma)               # (H, K)
-        m = (spec.offer_prob * u_next).sum(axis=1)          # expected utility given h'
-        ew = spec.transition @ m
-        saturated = saturated or bool(
-            (ew[spec.live_patients()] >= 1.0 - 1e-16).any())
+        m = problem.expect(exp_utility(1.0 + u, gamma),
+                           declined)          # expected utility given h'
+        ew = problem.carry(Action.WAIT, m)
+        saturated = saturated or bool((ew[live] >= 1.0 - 1e-16).any())
         ew = np.clip(ew, 0.0, 1.0 - 1e-16)
         return {Action.WAIT: exp_utility_inverse(ew, gamma)}
 
-    vf, policy = _solve(spec, waits, {Action.TRANSPLANT: _transplant_ce(spec, risk)},
-                        opts, stall_window=DIVERGENCE_WINDOW)
+    vf, policy = _solve(problem, waits, opts, stall_window=DIVERGENCE_WINDOW)
     if saturated:
         warnings.warn("wait-value expected utility saturated at 1; the "
                       "recursion likely diverges (is death reachable?)")
@@ -141,10 +144,13 @@ def lifetime_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     validate_model(spec)
     _check_2d(spec)
     j = np.arange(risk.lifetime_pmf.shape[-1])
-    return _solve(
-        spec,
-        lambda V: {Action.WAIT: 1.0 + spec.transition @ marginal_values(spec, V)},
-        {Action.TRANSPLANT: risk.lifetime_pmf @ j}, opts)
+    problem = _Continuation(spec, {Action.TRANSPLANT: risk.lifetime_pmf @ j})
+
+    def waits(u, declined):  # one epoch alive, undiscounted
+        return {Action.WAIT: 1.0 + problem.carry(
+            Action.WAIT, problem.expect(u, declined))}
+
+    return _solve(problem, waits, opts)
 
 
 def _check_2d(spec):

@@ -9,7 +9,6 @@ over the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .model import (
     non_finite_errors,
     validate_model,
 )
-from .solver import SolveOptions, _backup, _solve, solve_value_iteration
+from .solver import (SolveOptions, _backup, _Continuation, _solve,
+                     solve_value_iteration)
 from .structure import threshold_1d
 
 # a tilt is accepted at |KL(p || q) - radius| <= KL_RESIDUAL_TOL
@@ -126,9 +126,9 @@ def kl_worst_cases(nominal: np.ndarray, values: np.ndarray,
     return p, np.where(vertex, vmin, (p * v).sum(axis=1))
 
 
-def _worst_case_wait(spec, ambiguity, values):
-    """Wait value per patient state under the worst row in each KL ball."""
-    live = spec.live_patients()
+def _worst_case_wait(spec, ambiguity, live, values):
+    """Wait value per patient state under the worst row in each KL ball;
+    ``live`` lists the states other than death."""
     _, worst = kl_worst_cases(spec.transition[live], values, ambiguity.levels[live])
     cont = np.zeros(spec.n_patient)
     cont[live] = spec.wait_reward[live] + spec.discount * worst
@@ -137,7 +137,8 @@ def _worst_case_wait(spec, ambiguity, values):
 
 def robust_backup(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
                   values: np.ndarray) -> np.ndarray:
-    return _backup(spec, _worst_case_wait(spec, ambiguity, values),
+    return _backup(spec, _worst_case_wait(spec, ambiguity, spec.live_patients(),
+                                          values),
                    VARIANT_RULES[spec.variant].terminal_rewards(spec))
 
 
@@ -151,8 +152,12 @@ def robust_value_iteration(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
             ["robust solving is defined for the living_donor variant only"])
     if len(np.asarray(ambiguity.levels)) != spec.n_patient:
         raise ModelValidationError(["ambiguity levels length mismatch"])
-    return _solve(spec, partial(_worst_case_wait, spec, ambiguity),
-                  VARIANT_RULES[spec.variant].terminal_rewards(spec), opts)
+    live = spec.live_patients()
+    problem = _Continuation(spec, VARIANT_RULES[spec.variant].terminal_rewards(spec))
+    # the chain has no organ axis: its value is the decline value u itself
+    return _solve(problem,
+                  lambda u, _: _worst_case_wait(spec, ambiguity, live, u[0]),
+                  opts, discount=spec.discount)
 
 
 @dataclass(frozen=True)

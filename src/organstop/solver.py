@@ -1,6 +1,9 @@
 """Value iteration and greedy policy extraction for every discrete variant.
 
-The backup and the greedy choice below are the only code that turns a
+Every solver iterates in continuation space: one decline value per regime
+and patient state, from which the value grid, its offer average and the
+greedy policy follow (:class:`_Continuation`).  The terminal split, the
+backup and the greedy choice below are the only code that turns a
 :class:`~organstop.model.VariantRule` into numbers, and :func:`fixed_point`
 is the only iteration loop.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -46,7 +49,8 @@ class SolveOptions:
 
 
 def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
-                stall_window: int | None = None):
+                stall_window: int | None = None,
+                first_delta: float | None = None):
     """Iterate ``x <- step(x)`` from ``x0`` until a step moves x by at most
     ``opts.tolerance`` in sup-norm.
 
@@ -54,16 +58,22 @@ def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
     max |step(x) - x| at the returned x.  Reaching ``opts.max_iterations``
     returns the last iterate flagged non-converged.  For recursions not
     known to contract, ``stall_window`` iterations in a row without a new
-    smallest step also stop the iteration, with a warning.
+    smallest step also stop the iteration, with a warning.  With
+    ``first_delta``, ``x0`` is already iteration 1, reached by a step of
+    that size: the solvers start from the zero value grid, which their
+    iterate cannot hold.
     """
     x = x0
     iterations = 0
     converged = False
     best_step, since_best = np.inf, 0
     for iterations in range(1, opts.max_iterations + 1):
-        x_next = step(x)
-        delta = float(np.max(np.abs(x_next - x)))
-        x = x_next
+        if iterations == 1 and first_delta is not None:
+            delta = first_delta
+        else:
+            x_next = step(x)
+            delta = float(np.abs(x_next - x).max())
+            x = x_next
         if delta <= opts.tolerance:
             converged = True
             break
@@ -77,7 +87,7 @@ def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
                 warnings.warn("recursion is not contracting; returning the "
                               "last iterate flagged non-converged")
                 break
-    residual = float(np.max(np.abs(step(x) - x)))
+    residual = float(np.abs(step(x) - x).max())
     return x, iterations, converged, residual
 
 
@@ -96,7 +106,8 @@ def marginal_values(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _wait_values(spec, values):
-    """Continuation value per patient state of every wait action."""
+    """Continuation value per patient state of every wait action, from a
+    value grid."""
     rule = VARIANT_RULES[spec.variant]
     vbar = marginal_values(spec, values).reshape(len(rule.regimes), -1)
     out = {}
@@ -108,6 +119,44 @@ def _wait_values(spec, values):
     return out
 
 
+def _terminal_split(spec, terminals):
+    """(T_off, T_unc): the best terminal legal with an offer, (H, C), -inf
+    in the no-offer column and the death row; and per patient state the
+    best terminal legal without one, -inf where there is none."""
+    rule = VARIANT_RULES[spec.variant]
+    _, H, C = rule.grid(spec)
+
+    def best(offered_only):
+        rewards = [np.broadcast_to(terminals[t.action], (H, C))
+                   for t in rule.terminals if t.offered_only == offered_only]
+        return reduce(np.maximum, rewards) if rewards else np.full((H, C), -np.inf)
+
+    off = np.array(best(True))
+    if rule.organ_axis:
+        off[:, spec.no_offer_index] = -np.inf
+    off[spec.death_index] = -np.inf
+    return off, best(False)[:, spec.no_offer_index if rule.organ_axis else 0]
+
+
+def _decline(spec, waits, unc):
+    """u(g, h): regime g's best wait continuation or terminal legal without
+    an offer; zero at death."""
+    regimes = VARIANT_RULES[spec.variant].regimes
+    u = np.empty((len(regimes), len(unc)))
+    for row, regime in zip(u, regimes):
+        np.maximum(unc, waits[regime[0].action], out=row)
+        for wait in regime[1:]:
+            np.maximum(row, waits[wait.action], out=row)
+    u[:, spec.death_index] = 0.0
+    return u
+
+
+def _grid(spec, off, u):
+    """The value grid max(T_off, u) in the variant's value shape."""
+    return np.maximum(off, u[:, :, None]).reshape(
+        VARIANT_RULES[spec.variant].value_shape(spec))
+
+
 def _backup(spec, waits, terminals):
     """Bellman image from continuation values and terminal rewards.
 
@@ -115,22 +164,83 @@ def _backup(spec, waits, terminals):
     patient state and ``terminals`` each terminal action to its reward
     grid; robust and risk-sensitive solvers pass their own.
     """
-    rule = VARIANT_RULES[spec.variant]
-    out = np.empty(rule.value_shape(spec))
-    grid = out.reshape(rule.grid(spec))
-    first, *rest = [terminals[t.action] for t in rule.terminals]
-    for regime, image in zip(rule.regimes, grid):
-        wait = reduce(np.maximum, [waits[a.action] for a in regime])
-        np.maximum(first, wait[:, None], out=image)
-        for reward in rest:
-            np.maximum(image, reward, out=image)
-        if rule.organ_axis:  # no offer: waits and unconditional terminals only
-            column = spec.no_offer_index
-            image[:, column] = reduce(np.maximum, [wait] + [
-                np.broadcast_to(terminals[t.action], image.shape)[:, column]
-                for t in rule.terminals if not t.offered_only])
-    grid[:, spec.death_index] = 0.0
-    return out
+    off, unc = _terminal_split(spec, terminals)
+    return _grid(spec, off, _decline(spec, waits, unc))
+
+
+class _Continuation:
+    """One solve's stopping problem, iterated on the decline value u.
+
+    V(g, h, k) = max(T_off(h, k), u(g, h)): organ k is accepted in state h
+    iff T_off(h, k) > u(g, h), a control limit, so u alone carries value
+    iteration.  The offer expectation of payoff(V), for an increasing
+    payoff, is exact in its comparisons: each row of T_off is sorted once,
+    and with j(h) = #{k : T_off(h, k) <= u(h)} it is payoff(u) F[h, j] +
+    S[h, j], F the prefix offer mass and S the suffix sum of K payoff(T_off)
+    along the sorted row.  j comes from two ``searchsorted`` calls: one
+    places u among all of T_off's values, one finds that global rank among
+    the row's keys h N + rank.  Each wait action's transition is kept as
+    its nonzero (rows, cols, data).
+    """
+
+    def __init__(self, spec: DiscreteModelSpec, terminals: dict,
+                 payoff=lambda t: t):
+        rule = VARIANT_RULES[spec.variant]
+        self.spec, self.terminals = spec, terminals
+        self.off, self.unc = _terminal_split(spec, terminals)
+        H, C = self.off.shape
+        n = H * C
+        order = np.argsort(self.off, axis=None, kind="stable")
+        self._values = self.off.ravel()[order]
+        # regroup the global order by row: each row ascending, keyed
+        # h n + (global position), so the keys are sorted too
+        by_row = np.argsort(order // C, kind="stable")
+        self._keys = np.repeat(n * np.arange(H), C) + by_row
+        flat = order[by_row]
+        del order, by_row
+        self._row_keys, self._rows = n * np.arange(H), np.arange(H)
+        offer = spec.offer_prob if rule.organ_axis else np.ones((H, 1))
+        mass = offer.ravel()[flat].reshape(H, C)
+        rewards = self.off.ravel()[flat].reshape(H, C)
+        accepted = rewards > -np.inf
+        terms = np.where(accepted, mass * payoff(np.where(accepted, rewards, 0.0)),
+                         0.0)
+        self.prefix, self.suffix = np.zeros((H, C + 1)), np.zeros((H, C + 1))
+        np.cumsum(mass, axis=1, out=self.prefix[:, 1:])
+        self.suffix[:, :C] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+        self.prefix, self.suffix = self.prefix.ravel(), self.suffix.ravel()
+        #: j = C in every row: the zero value grid, everything declined
+        self.everything_declined = np.arange(H) * (C + 1) + C
+        self.moves = {}
+        for regime in rule.regimes:
+            for wait in regime:
+                reward, transition = wait.arrays(spec)
+                rows, cols = np.nonzero(transition)
+                self.moves[wait.action] = (reward, rows, cols,
+                                           transition[rows, cols],
+                                           wait.regime or 0)
+
+    def declined(self, u: np.ndarray) -> np.ndarray:
+        """Flat (h, j(h)) index into the F and S tables, per regime."""
+        r = self._values.searchsorted(u, side="right")
+        return self._keys.searchsorted(self._row_keys + r) + self._rows
+
+    def expect(self, x, declined) -> np.ndarray:
+        """x F[h, j] + S[h, j]: the offer expectation of payoff(V) for
+        x = payoff(u)."""
+        return x * self.prefix[declined] + self.suffix[declined]
+
+    def carry(self, action, x: np.ndarray) -> np.ndarray:
+        """sum_h' P[h, h'] x(g', h') for a wait action leading to regime g'."""
+        _, rows, cols, data, regime = self.moves[action]
+        return np.bincount(rows, weights=data * x[regime][cols],
+                           minlength=self.spec.n_patient)
+
+    def nominal_waits(self, u, declined) -> dict:
+        """w + beta P vbar for every wait action: the nominal recursion."""
+        vbar = self.expect(u, declined)
+        return {action: move[0] + self.spec.discount * self.carry(action, vbar)
+                for action, move in self.moves.items()}
 
 
 def _greedy(spec, waits, terminals, tie_break):
@@ -154,16 +264,31 @@ def _greedy(spec, waits, terminals, tie_break):
     return Policy(spec.variant, actions)
 
 
-def _solve(spec, waits, terminals, opts, stall_window=None):
-    """Iterate :func:`_backup` with continuation values ``waits(V)`` to its
-    fixed point; return the value function and its greedy policy."""
-    V, iterations, converged, residual = fixed_point(
-        lambda V: _backup(spec, waits(V), terminals), zero_values(spec), opts,
-        stall_window)
-    vf = ValueFunction(values=V, marginal=marginal_values(spec, V),
-                       residual=residual, iterations=iterations,
-                       converged=converged)
-    return vf, _greedy(spec, waits(V), terminals, opts.tie_break)
+def _solve(problem, waits, opts, stall_window=None, discount=None):
+    """Iterate the decline value to its fixed point; return the value
+    function and its greedy policy.
+
+    ``waits(u, declined)`` gives each wait action's continuation value per
+    patient state, ``declined`` being :meth:`_Continuation.declined` of u.
+    Iteration 1 steps from the zero value grid and is measured on the grid;
+    after it, the grid's sup-norm step is max |u' - u| exactly, since the
+    no-offer column is u itself.  A ``discount`` gives the error bound
+    residual / (1 - discount).
+    """
+    spec = problem.spec
+    zero = np.zeros((len(VARIANT_RULES[spec.variant].regimes), spec.n_patient))
+    u = _decline(spec, waits(zero, problem.everything_declined), problem.unc)
+    u, iterations, converged, residual = fixed_point(
+        lambda u: _decline(spec, waits(u, problem.declined(u)), problem.unc),
+        u, opts, stall_window,
+        first_delta=float(np.max(np.abs(_grid(spec, problem.off, u)))))
+    V = _grid(spec, problem.off, u)
+    vf = ValueFunction(
+        values=V, marginal=marginal_values(spec, V), residual=residual,
+        iterations=iterations, converged=converged,
+        error_bound=None if discount is None else residual / (1.0 - discount))
+    return vf, _greedy(spec, waits(u, problem.declined(u)), problem.terminals,
+                       opts.tie_break)
 
 
 def bellman_backup(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
@@ -197,14 +322,14 @@ def solve_value_iteration(spec: DiscreteModelSpec,
                           ) -> tuple[ValueFunction, Policy]:
     """Iterate the Bellman operator to its fixed point.
 
-    Returns the value function (with achieved sup-norm Bellman residual and
-    iteration count) and the greedy policy.  If ``max_iterations`` is hit
-    before the residual target, the best iterate is returned flagged
-    non-converged.
+    Returns the value function (with achieved sup-norm Bellman residual,
+    its error bound and iteration count) and the greedy policy.  If
+    ``max_iterations`` is hit before the residual target, the best iterate
+    is returned flagged non-converged.
     """
     validate_model(spec)
-    return _solve(spec, partial(_wait_values, spec),
-                  VARIANT_RULES[spec.variant].terminal_rewards(spec), opts)
+    problem = _Continuation(spec, VARIANT_RULES[spec.variant].terminal_rewards(spec))
+    return _solve(problem, problem.nominal_waits, opts, discount=spec.discount)
 
 
 def build_continuous_analog_spec(

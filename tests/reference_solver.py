@@ -1,0 +1,132 @@
+"""Reference value iteration on the full value grid: the iteration that
+``organstop.solver`` replaced with its continuation-space step.
+
+Every step here forms the whole (regimes, H, K) value grid, averages it over
+the offers with ``(K * V).sum(-1)``, multiplies by the dense transition and
+patches the no-offer column regime by regime.  The robust and risk
+recursions pass their own wait values, as the library did.  The tests hold
+the library's iterations, flags and policies to this exactly and its
+numbers to a rounding tolerance.
+"""
+
+import warnings
+from functools import reduce
+
+import numpy as np
+
+from organstop.model import VARIANT_RULES, Action
+from organstop.risk import _transplant_ce, exp_utility, exp_utility_inverse
+from organstop.robust import kl_worst_cases
+from organstop.solver import _greedy
+
+
+def fixed_point(step, x0, opts, stall_window=None):
+    x = x0
+    iterations = 0
+    converged = False
+    best_step, since_best = np.inf, 0
+    for iterations in range(1, opts.max_iterations + 1):
+        x_next = step(x)
+        delta = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if delta <= opts.tolerance:
+            converged = True
+            break
+        if stall_window is None:
+            continue
+        if delta < best_step - 1e-15:
+            best_step, since_best = delta, 0
+        else:
+            since_best += 1
+            if since_best >= stall_window:
+                warnings.warn("recursion is not contracting; returning the "
+                              "last iterate flagged non-converged")
+                break
+    residual = float(np.max(np.abs(step(x) - x)))
+    return x, iterations, converged, residual
+
+
+def marginal_values(spec, values):
+    if not VARIANT_RULES[spec.variant].organ_axis:
+        return np.asarray(values, dtype=float).copy()
+    return (spec.offer_prob * values).sum(axis=-1)
+
+
+def _wait_values(spec, values):
+    rule = VARIANT_RULES[spec.variant]
+    vbar = marginal_values(spec, values).reshape(len(rule.regimes), -1)
+    out = {}
+    for regime in rule.regimes:
+        for wait in regime:
+            reward, transition = wait.arrays(spec)
+            out[wait.action] = reward + spec.discount * (
+                transition @ vbar[wait.regime or 0])
+    return out
+
+
+def _backup(spec, waits, terminals):
+    rule = VARIANT_RULES[spec.variant]
+    out = np.empty(rule.value_shape(spec))
+    grid = out.reshape(rule.grid(spec))
+    first, *rest = [terminals[t.action] for t in rule.terminals]
+    for regime, image in zip(rule.regimes, grid):
+        wait = reduce(np.maximum, [waits[a.action] for a in regime])
+        np.maximum(first, wait[:, None], out=image)
+        for reward in rest:
+            np.maximum(image, reward, out=image)
+        if rule.organ_axis:
+            column = spec.no_offer_index
+            image[:, column] = reduce(np.maximum, [wait] + [
+                np.broadcast_to(terminals[t.action], image.shape)[:, column]
+                for t in rule.terminals if not t.offered_only])
+    grid[:, spec.death_index] = 0.0
+    return out
+
+
+def _solve(spec, waits, terminals, opts, stall_window=None):
+    """(values, marginal, residual, iterations, converged), policy."""
+    V, iterations, converged, residual = fixed_point(
+        lambda V: _backup(spec, waits(V), terminals),
+        np.zeros(VARIANT_RULES[spec.variant].value_shape(spec)), opts,
+        stall_window)
+    solution = (V, marginal_values(spec, V), residual, iterations, converged)
+    return solution, _greedy(spec, waits(V), terminals, opts.tie_break)
+
+
+def solve(spec, opts):
+    return _solve(spec, lambda V: _wait_values(spec, V),
+                  VARIANT_RULES[spec.variant].terminal_rewards(spec), opts)
+
+
+def robust_solve(spec, ambiguity, opts):
+    live = np.array([h for h in range(spec.n_patient) if h != spec.death_index])
+
+    def waits(values):
+        _, worst = kl_worst_cases(spec.transition[live], values,
+                                  ambiguity.levels[live])
+        cont = np.zeros(spec.n_patient)
+        cont[live] = spec.wait_reward[live] + spec.discount * worst
+        return {Action.WAIT: cont}
+
+    return _solve(spec, waits,
+                  VARIANT_RULES[spec.variant].terminal_rewards(spec), opts)
+
+
+def risk_ce_solve(spec, risk, opts, stall_window=1000):
+    gamma = risk.risk_coefficient
+
+    def waits(V):
+        m = (spec.offer_prob * exp_utility(1.0 + V, gamma)).sum(axis=1)
+        ew = np.clip(spec.transition @ m, 0.0, 1.0 - 1e-16)
+        return {Action.WAIT: exp_utility_inverse(ew, gamma)}
+
+    return _solve(spec, waits, {Action.TRANSPLANT: _transplant_ce(spec, risk)},
+                  opts, stall_window)
+
+
+def lifetime_solve(spec, risk, opts):
+    j = np.arange(risk.lifetime_pmf.shape[-1])
+    return _solve(
+        spec,
+        lambda V: {Action.WAIT: 1.0 + spec.transition @ marginal_values(spec, V)},
+        {Action.TRANSPLANT: risk.lifetime_pmf @ j}, opts)

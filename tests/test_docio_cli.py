@@ -233,6 +233,34 @@ def test_cli_unreadable_input(tmp_path, capsys, command):
         assert "$.policy: missing required field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_cli_refuses_a_policy_that_does_not_fit_the_model(tmp_path, capsys,
+                                                          command):
+    spec = random_base_spec(np.random.default_rng(6), n_live=3, n_offered=1)
+    legal = np.zeros((4, 2), dtype=int)
+    legal[:, 0] = 1
+    legal[3] = 5
+    out = tmp_path / "out"
+
+    def run(policy):
+        doc = {"kind": "solve_results", "model": docio.model_section(spec),
+               "policy": policy}
+        return cli.main([command, "--input", write_doc(tmp_path, doc),
+                         "--output", str(out)])
+
+    assert run(legal.tolist()) == cli.EXIT_OK
+    out.unlink()
+    assert run([[0, 1]]) == cli.EXIT_VALIDATION
+    assert ("$.policy: shape (1, 2) does not fit the model, expected (4, 2)"
+            in capsys.readouterr().err)
+    no_offer = legal.copy()
+    no_offer[0, 1] = 1  # transplant with no organ offered
+    assert run(no_offer.tolist()) == cli.EXIT_VALIDATION
+    assert ("$.policy: illegal action TRANSPLANT at cell (0, 1)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_usage(tmp_path, capsys):
     assert cli.main(["solve"]) == cli.EXIT_USAGE
     assert "--input" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from organstop import (
     validate_policy,
     validation_errors,
 )
+from organstop import model
 from organstop.solver import SolveOptions, TieBreak, solve_value_iteration
 
 from helpers import (
@@ -249,3 +250,44 @@ def test_dialysis_spec_shapes_validate():
     spec = random_dialysis_spec(np.random.default_rng(5))
     assert spec.transition.shape == (2, spec.n_patient, spec.n_patient)
     assert validation_errors(spec) == []
+
+
+def row_loop_check(matrix, name, errors, axis_name="patient state"):
+    """The row-at-a-time stochastic-row check the array check replaced."""
+    matrix = np.asarray(matrix, dtype=float)
+    for i, row in enumerate(matrix):
+        s = row.sum()
+        if abs(s - 1.0) > model.ROW_SUM_TOL:
+            errors.append(f"{name}: row sum {s:.12g} at {axis_name} {i}")
+        if (row < -model.ROW_SUM_TOL).any() or (row > 1.0 + model.ROW_SUM_TOL).any():
+            j = int(np.argmax((row < -model.ROW_SUM_TOL)
+                              | (row > 1.0 + model.ROW_SUM_TOL)))
+            errors.append(f"{name}: entry {row[j]:.12g} outside [0,1] at ({i},{j})")
+
+
+@given(st.sampled_from([Variant.BASE, Variant.DIALYSIS]),
+       st.integers(0, 2**32 - 1))
+def test_row_checks_give_the_row_loop_messages(variant, seed):
+    """Several bad rows per matrix: sums off one, entries below 0 or above
+    1, both in one row; the messages and their order are the row loop's."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant, n_live=int(rng.integers(2, 6)),
+                       n_offered=int(rng.integers(1, 4)))
+    trans, offer = spec.transition.copy(), spec.offer_prob.copy()
+    for matrix in (trans.reshape(-1, spec.n_patient), offer):
+        rows = rng.choice(len(matrix), size=min(3, len(matrix)), replace=False)
+        for n, i in enumerate(rows):
+            j, j2 = rng.choice(matrix.shape[1], size=2, replace=False)
+            kind = 0 if n == 0 else rng.integers(5)
+            if kind == 4:  # entries outside [0, 1], the sum kept
+                matrix[i, j] -= 1.2
+                matrix[i, j2] += 1.2
+            else:
+                matrix[i, j] = [1.5, -0.5, matrix[i, j] + 0.25,
+                                matrix[i, j] + 1e-10][kind]
+    bad = replace(spec, transition=trans, offer_prob=offer)
+    errors = validation_errors(bad)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_check_stochastic_rows", row_loop_check)
+        assert errors == validation_errors(bad)
+    assert errors

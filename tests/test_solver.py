@@ -1,7 +1,10 @@
 """Value iteration against closed forms and the enumeration oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from organstop import (
     Action,
@@ -20,14 +23,19 @@ from organstop import (
     solve_value_iteration,
     validate_model,
 )
+from organstop.model import VARIANT_RULES
 from organstop.simulate import brute_force_optimal
-from organstop.solver import fixed_point, zero_values
+from organstop.solver import (_Continuation, _grid, fixed_point,
+                              marginal_values, zero_values)
 
+import reference_solver
 from helpers import (
     random_base_spec,
     random_dialysis_spec,
+    random_lifetime_pmf,
     random_living_donor_spec,
     random_spec,
+    risk_base_spec,
 )
 
 TIGHT = SolveOptions(tolerance=1e-12)
@@ -251,3 +259,129 @@ def test_non_convergence_is_flagged():
                                                      max_iterations=3))
     assert not vf.converged
     assert vf.iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# the continuation-space iteration against the full-grid reference
+
+SOLVERS = [v.value for v in Variant] + ["robust", "risk_ce", "lifetime"]
+
+
+def solver_case(kind, rng, n_live, n_offered, zeroed=()):
+    """(library solve, reference solve, spec) taking SolveOptions; the
+    reward fields in ``zeroed`` are set to zero."""
+    if kind == "robust":
+        spec = random_living_donor_spec(rng, n_live)
+        radii = np.append(rng.uniform(0.0, 0.5, n_live), 0.0)
+        amb = AmbiguitySpec(radii)
+        return (lambda o: robust_value_iteration(spec, amb, o),
+                lambda o: reference_solver.robust_solve(spec, amb, o), spec)
+    if kind in ("risk_ce", "lifetime"):
+        spec = risk_base_spec(rng, n_live, n_offered)
+        risk = RiskSpec(float(rng.uniform(0.05, 2.0)),
+                        random_lifetime_pmf(rng, spec))
+        lib, ref = ((risk_sensitive_value_iteration, reference_solver.risk_ce_solve)
+                    if kind == "risk_ce" else
+                    (lifetime_value_iteration, reference_solver.lifetime_solve))
+        return (lambda o: lib(spec, risk, o), lambda o: ref(spec, risk, o),
+                spec)
+    spec = random_spec(rng, Variant(kind), n_live, n_offered)
+    if zeroed:
+        zeros = {name: 0.0 * getattr(spec, name) for name in zeroed}
+        if "transplant_reward" in zeroed and spec.success_reward is not None:
+            zeros["success_reward"] = 0.0
+        spec = validate_model(replace(spec, **zeros))
+    return (lambda o: solve_value_iteration(spec, o),
+            lambda o: reference_solver.solve(spec, o), spec)
+
+
+def assert_matches_reference(result, reference):
+    (vf, policy), ((values, marginal, residual, iterations, converged),
+                   ref_policy) = result, reference
+    assert (vf.iterations, vf.converged) == (iterations, converged)
+    assert np.array_equal(policy.actions, ref_policy.actions)
+    tol = 1e-11 * max(1.0, float(np.abs(values).max()))
+    assert np.abs(vf.values - values).max() <= tol
+    assert np.abs(vf.marginal - marginal).max() <= tol
+    assert abs(vf.residual - residual) <= tol
+
+
+@given(st.sampled_from(SOLVERS), st.integers(0, 2**32 - 1),
+       st.integers(1, 6), st.integers(1, 5),
+       st.sampled_from([(), ("wait_reward",),
+                        ("wait_reward", "transplant_reward")]),
+       st.sampled_from(list(TieBreak)))
+def test_solvers_match_the_grid_reference(kind, seed, n_live, n_offered,
+                                          zeroed, tie_break):
+    """Zero wait rewards make the first step's grid move differ from its
+    decline-value move; zero rewards stop the iteration at step 1."""
+    solve, reference, _ = solver_case(kind, np.random.default_rng(seed),
+                                      n_live, n_offered, zeroed)
+    opts = SolveOptions(tie_break=tie_break)
+    assert_matches_reference(solve(opts), reference(opts))
+
+
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+def test_exact_ties_match_the_grid_reference(tie_break):
+    opts = SolveOptions(tolerance=1e-12, tie_break=tie_break)
+    for spec, _, _ in tie_cases():
+        assert_matches_reference(solve_value_iteration(spec, opts),
+                                 reference_solver.solve(spec, opts))
+    chain = tie_cases()[0][0]
+    amb = AmbiguitySpec(np.zeros(2))
+    assert_matches_reference(robust_value_iteration(chain, amb, opts),
+                             reference_solver.robust_solve(chain, amb, opts))
+    spec = tie_spec(Variant.BASE, transition=[[0.0, 1.0], [0.0, 1.0]],
+                    wait=[1.0, 0.0], reward=[[0.0, 0.0], [0.0, 0.0]])
+    pmf = np.zeros((2, 2, 2))
+    pmf[0, :, 1] = pmf[1, :, 0] = 1.0
+    risk = RiskSpec(0.5, pmf)
+    assert_matches_reference(risk_sensitive_value_iteration(spec, risk, opts),
+                             reference_solver.risk_ce_solve(spec, risk, opts))
+    assert_matches_reference(lifetime_value_iteration(spec, risk, opts),
+                             reference_solver.lifetime_solve(spec, risk, opts))
+
+
+@given(st.sampled_from(list(Variant)), st.integers(0, 2**32 - 1),
+       st.integers(1, 6), st.integers(1, 5))
+def test_declined_counts_match_sorted_rows(variant, seed, n_live, n_offered):
+    """j(h) from the two searchsorted calls against a direct count, with
+    integer rewards and decline values so that ties are common."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant, n_live, n_offered)
+    rule = VARIANT_RULES[variant]
+    G, H, C = rule.grid(spec)
+    terminals = {t.action: rng.integers(0, 4, (H, C)).astype(float)
+                 for t in rule.terminals}
+    problem = _Continuation(spec, terminals)
+    u = rng.choice([-1.0, 0.0, 1.0, 1.5, 2.0, 3.0, 5.0], size=(G, H))
+    j = problem.declined(u) - np.arange(H) * (C + 1)
+    rows = np.sort(problem.off, axis=1)
+    assert np.array_equal(j, (rows[None] <= u[:, :, None]).sum(axis=-1))
+    assert (j[:, spec.death_index] == C).all()
+    grid = _grid(spec, problem.off, u)
+    expected = marginal_values(spec, grid).reshape(G, H)
+    assert np.allclose(problem.expect(u, problem.declined(u)), expected,
+                       rtol=1e-12, atol=1e-12)
+
+
+@given(st.sampled_from([v.value for v in Variant] + ["robust"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from([1e-3, 1e-6, 1e-8]))
+def test_error_bound_covers_the_tight_solution(kind, seed, n_live, n_offered,
+                                               tolerance):
+    solve, _, spec = solver_case(kind, np.random.default_rng(seed), n_live,
+                                 n_offered)
+    vf, _ = solve(SolveOptions(tolerance=tolerance))
+    tight, _ = solve(SolveOptions(tolerance=1e-13))
+    assert vf.error_bound == vf.residual / (1.0 - spec.discount)
+    # the tight solution is itself within its own bound of the fixed point
+    gap = np.abs(vf.values - tight.values).max()
+    assert gap <= vf.error_bound + tight.error_bound
+
+
+def test_risk_recursions_have_no_error_bound():
+    spec = risk_base_spec(np.random.default_rng(12))
+    risk = RiskSpec(0.5, random_lifetime_pmf(np.random.default_rng(13), spec))
+    for solver in (risk_sensitive_value_iteration, lifetime_value_iteration):
+        assert solver(spec, risk)[0].error_bound is None
