@@ -19,7 +19,8 @@ import numpy as np
 
 from . import ctime, docio, simulate, structure
 from .ctime import FixedInstants, StiffnessError
-from .model import VARIANT_RULES, ModelValidationError, Policy, validate_policy
+from .model import (VARIANT_RULES, Action, ModelValidationError, Policy,
+                    validate_policy)
 from .solver import SolveOptions, solve_value_iteration
 from .svgplot import render_curve_svg, render_region_svg
 
@@ -110,15 +111,23 @@ def cmd_solve(args) -> int:
     return EXIT_OK if vf.converged else EXIT_NO_CONVERGENCE
 
 
+def _policy_codes(raw):
+    """The ``policy`` array of a results document: integers, or an error."""
+    try:
+        actions = np.asarray(docio._require(raw, "policy", "$"))
+    except (TypeError, ValueError) as exc:
+        raise docio.DocumentError("$.policy",
+                                  f"not an integer array: {exc}") from None
+    if actions.dtype.kind not in "iu":
+        raise docio.DocumentError("$.policy", "not an integer array")
+    return actions
+
+
 def _solved_policy(raw):
     """The model of a ``solve_results`` document and its policy, checked to
     fit the model: its shape and a legal action in every cell."""
     spec = docio.parse_model_section(docio._require(raw, "model", "$"))
-    try:
-        actions = np.asarray(docio._require(raw, "policy", "$"), dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise docio.DocumentError("$.policy",
-                                  f"not an integer array: {exc}") from None
+    actions = _policy_codes(raw)
     shape = VARIANT_RULES[spec.variant].value_shape(spec)
     if actions.shape != shape:
         raise docio.DocumentError(
@@ -205,7 +214,12 @@ def cmd_plot(args) -> int:
     if kind == "solve_results":
         svg = render_region_svg(_solved_policy(raw)[1].actions)
     elif kind == "structure_results":
-        svg = render_region_svg(np.asarray(docio._require(raw, "policy", "$")))
+        # no model to fit: a grid of action codes is all that can be checked
+        actions = _policy_codes(raw)
+        if actions.ndim != 2 or not np.isin(actions, list(Action)).all():
+            raise docio.DocumentError(
+                "$.policy", "expected a 2-D array of action codes")
+        svg = render_region_svg(actions)
     elif kind == "curve_results":
         critical = [float(t) for t in raw.get("critical_times", [])
                     if t != "inf"]
@@ -243,3 +257,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

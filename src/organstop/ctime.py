@@ -171,13 +171,6 @@ class LifetimeDistribution:
     def sample(self, rng, n):
         raise NotImplementedError
 
-    def conditional_survival(self, s, t):
-        """P(tau > t + s | tau > t); 0 once survival past t is negligible."""
-        sf_t = self.survival(t)
-        if sf_t < 1e-12:
-            return 0.0
-        return float(self.survival(t + s) / sf_t)
-
 
 @dataclass(frozen=True)
 class Lifetime(LifetimeDistribution):
@@ -380,8 +373,8 @@ class ThresholdCurve:
         return np.interp(t, self.times, self.values,
                          left=self.values[0], right=0.0)
 
-    def is_nonincreasing(self, slack: float = 1e-9) -> bool:
-        return bool((np.diff(self.values) <= slack).all())
+    def is_nonincreasing(self) -> bool:
+        return bool((np.diff(self.values) <= 1e-9).all())
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +395,7 @@ def _offer_value_expectation(offers, lam, beta):
     return lam + beta * offers.excess_integral(c)
 
 
-def finite_horizon_thresholds(spec: ContinuousModelSpec,
-                              n_instants: int | None = None) -> np.ndarray:
+def finite_horizon_thresholds(spec: ContinuousModelSpec) -> np.ndarray:
     """Backward recursion for the fixed-instants rejection values.
 
     Returns lambda[j] for j = 0..N, where the j-th offer should be accepted
@@ -415,9 +407,9 @@ def finite_horizon_thresholds(spec: ContinuousModelSpec,
     if spec.offers.upper == math.inf:
         raise ValueError("offer support must be bounded")
     times = spec.arrivals.times
-    n = len(times) if n_instants is None else n_instants
+    n = len(times)
     alphas = spec.survival_alphas
-    betas = np.array([spec.discount_fn(t) for t in times[:n]])
+    betas = np.array([spec.discount_fn(t) for t in times])
     lam = np.zeros(n)
     for j in range(n - 2, -1, -1):
         lam[j] = alphas[j + 1] * _offer_value_expectation(
@@ -427,8 +419,7 @@ def finite_horizon_thresholds(spec: ContinuousModelSpec,
 
 def infinite_horizon_limit(offers: OfferDistribution,
                            alpha,
-                           step_discount=1.0,
-                           tol: float = 1e-9):
+                           step_discount=1.0):
     """Stationary limit of the fixed-instants thresholds as the horizon grows.
 
     ``step_discount`` is the per-arrival discount ratio beta(U_{j+1}) /
@@ -454,7 +445,7 @@ def infinite_horizon_limit(offers: OfferDistribution,
         if g(hi) <= 0:
             return hi
         from scipy.optimize import brentq
-        return float(brentq(g, 0.0, hi, xtol=tol))
+        return float(brentq(g, 0.0, hi, xtol=1e-9))
 
     if stationary:
         return stationary_root(float(alpha_arr[0]), float(delta_arr[0]))
@@ -501,20 +492,14 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
                         0.0)
 
     if isinstance(inter, DeterministicInterarrival):
-        d = inter.gap
-        for i in range(n - 1, -1, -1):
-            t = times[i]
-            gbar = lifetime.conditional_survival(d, t)
-            lam[i] = gbar * w_at(np.array([t + d]), lam,
-                                 np.array([spec.discount_fn(t + d)]))[0]
-        return ThresholdCurve(times, lam, truncated=truncated)
-
-    # continuous interarrivals: trapezoid over the s-grid, midpoint masses
-    s_edges = np.arange(0.0, _interarrival_horizon(inter) + step, step)
-    s_mids = 0.5 * (s_edges[1:] + s_edges[:-1])
-    masses = np.diff(np.asarray(inter.cdf(s_edges), dtype=float))
-    keep = masses > 0
-    s_mids, masses = s_mids[keep], masses[keep]
+        s_mids, masses = np.array([inter.gap]), np.ones(1)  # one atom
+    else:
+        # continuous interarrivals: trapezoid over the s-grid, midpoint masses
+        s_edges = np.arange(0.0, _interarrival_horizon(inter) + step, step)
+        s_mids = 0.5 * (s_edges[1:] + s_edges[:-1])
+        masses = np.diff(np.asarray(inter.cdf(s_edges), dtype=float))
+        keep = masses > 0
+        s_mids, masses = s_mids[keep], masses[keep]
 
     for i in range(n - 1, -1, -1):
         t = times[i]
@@ -525,7 +510,7 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
         u = t + s_mids
         weights = np.asarray(lifetime.survival(u), dtype=float) / sf_t * masses
         beta_u = np.array([spec.discount_fn(x) for x in u])  # once per t
-        # the first midpoint may interpolate lambda(t) itself: fixed point
+        # mass within one grid step interpolates lambda(t) itself: fixed point
         guess = lam[i + 1] if i + 1 < n else 0.0
         for _ in range(100):
             lam[i] = guess
@@ -538,10 +523,10 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
     return ThresholdCurve(times, lam, truncated=truncated)
 
 
-def _interarrival_horizon(inter, tiny=1e-9):
+def _interarrival_horizon(inter):
     hi = 1.0
     for _ in range(80):
-        if 1.0 - float(inter.cdf(hi)) <= tiny:
+        if 1.0 - float(inter.cdf(hi)) <= 1e-9:
             return hi
         hi *= 2.0
     raise ValueError("interarrival distribution tail does not decay")
@@ -635,14 +620,14 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
 # ---------------------------------------------------------------------------
 # critical times
 
-def critical_times(curve: ThresholdCurve, values: Sequence[float],
-                   time_tol: float = 1e-9) -> np.ndarray:
+def critical_times(curve: ThresholdCurve,
+                   values: Sequence[float]) -> np.ndarray:
     """First times at which the curve drops below each offer value.
 
     ``values`` must be strictly decreasing (x_1 > ... > x_m).  Entry i is 0
     when the curve starts below x_i, infinity when it never reaches x_i,
-    and otherwise the crossing time located by bisection on the linear
-    interpolant.  The result is nondecreasing.
+    and otherwise the crossing time located to 1e-9 by bisection on the
+    linear interpolant.  The result is nondecreasing.
     """
     if not curve.is_nonincreasing():
         raise ValueError("critical times require a nonincreasing curve")
@@ -659,7 +644,7 @@ def critical_times(curve: ThresholdCurve, values: Sequence[float],
             out[i] = 0.0
         else:
             lo, hi = t_lo, t_hi
-            while hi - lo > time_tol:
+            while hi - lo > 1e-9:
                 mid = 0.5 * (lo + hi)
                 if curve(mid) < x:
                     hi = mid

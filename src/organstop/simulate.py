@@ -10,9 +10,7 @@ import numpy as np
 
 from .model import (
     Action,
-    DIALYSIS_REGIME,
     DiscreteModelSpec,
-    MEDICATION_REGIME,
     Policy,
     VARIANT_RULES,
     Variant,
@@ -84,20 +82,53 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
                                                 spawn_key=(index,))))
 
 
+class _Dynamics:
+    """One epoch of a variant as arrays, read by every discrete walker.
+
+    A live patient h in regime g draws an offer column k (k = 0 without an
+    organ axis) and takes a = actions[g, h, k], with actions reshaped to
+    ``grid``.  A wait action leads to regime g' = wait_regime[a] and, as
+    :class:`WaitAction` says, reads row block g' of the wait rewards and
+    transitions: it earns wait_reward[g', h] and moves the patient by row
+    g' * H + h of ``cum_trans``.  A terminal action has wait_regime -1 and
+    earns terminal_reward[terminal_of[a], h, k].  The analog's transplant
+    earns its epoch's w[h] there and then draws its success
+    (``success_draw``), which pays beta * success_reward.
+    """
+
+    def __init__(self, spec: DiscreteModelSpec):
+        rule = VARIANT_RULES[spec.variant]
+        self.grid = rule.grid(spec)
+        self.regime_axis, self.organ_axis = self.grid[0] > 1, rule.organ_axis
+        waits = {w.action: w.regime or 0 for regime in rule.regimes
+                 for w in regime}
+        self.wait_regime = np.full(len(Action), -1)
+        self.wait_regime[list(waits)] = list(waits.values())
+        self.wait_reward = spec.wait_reward.reshape(-1, spec.n_patient)
+        transition = spec.transition.reshape(-1, spec.n_patient)
+        self.cum_trans = np.cumsum(transition, axis=1)
+        self.last_trans = _last_positive(transition)
+        terminals = rule.terminal_rewards(spec)
+        self.success_draw = spec.variant is Variant.CONTINUOUS_ANALOG
+        if self.success_draw:
+            terminals[Action.TRANSPLANT] = spec.wait_reward[:, None]
+        self.terminal_of = np.full(len(Action), -1)
+        self.terminal_of[list(terminals)] = range(len(terminals))
+        self.terminal_reward = np.stack([np.broadcast_to(r, self.grid[1:])
+                                         for r in terminals.values()])
+        self.cum_offer = np.cumsum(spec.offer_prob, axis=1)
+        self.last_offer = _last_positive(spec.offer_prob)
+
+
 def simulate_trajectory(spec: DiscreteModelSpec, policy: Policy,
                         rng: np.random.Generator,
                         max_epochs: int = MAX_EPOCHS,
                         record_path: bool = False) -> TrajectoryRecord:
     """Roll out one history and return its realized discounted reward."""
-    beta = spec.discount
-    death, nooff = spec.death_index, spec.no_offer_index
-    cum_offer = np.cumsum(spec.offer_prob, axis=1)
-    last_offer = _last_positive(spec.offer_prob)
-    cum_trans = np.cumsum(spec.transition, axis=-1)
-    last_trans = _last_positive(spec.transition)
-
-    h = 0 if spec.death_index != 0 else 1
-    regime = MEDICATION_REGIME
+    dyn = _Dynamics(spec)
+    actions = policy.actions.reshape(dyn.grid)
+    beta, death = spec.discount, spec.death_index
+    h, g, k = (0 if death != 0 else 1), 0, 0
     disc = 1.0
     reward = 0.0
     record = TrajectoryRecord(reward=0.0, epochs=0, terminal="truncated")
@@ -106,65 +137,28 @@ def simulate_trajectory(spec: DiscreteModelSpec, policy: Policy,
         if h == death:
             record.terminal = "death"
             break
-
-        if spec.variant is Variant.LIVING_DONOR:
-            a = Action(policy.actions[h])
-            if record_path:
-                record.states.append(h)
-                record.actions.append(int(a))
-            if a is Action.TRANSPLANT_LIVING:
-                reward += disc * spec.living_donor_reward()[h]
-                record.terminal = "transplant"
-                record.epochs = epoch + 1
-                break
-            reward += disc * spec.wait_reward[h]
-            h = _sample_row(rng, cum_trans[h], last_trans[h])
-            disc *= beta
-            record.epochs = epoch + 1
-            continue
-
-        k = _sample_row(rng, cum_offer[h], last_offer[h])
-        if spec.variant is Variant.DIALYSIS:
-            a = Action(policy.actions[regime, h, k])
-        else:
-            a = Action(policy.actions[h, k])
+        if dyn.organ_axis:
+            k = _sample_row(rng, dyn.cum_offer[h], dyn.last_offer[h])
+        a = int(actions[g, h, k])
         if record_path:
-            record.states.append((regime, h) if spec.variant is Variant.DIALYSIS
-                                 else h)
-            record.offers.append(k)
-            record.actions.append(int(a))
-
-        if a is Action.TRANSPLANT and spec.variant is Variant.CONTINUOUS_ANALOG:
-            reward += disc * spec.wait_reward[h]
-            success = rng.random() < spec.success_prob[h, k]
-            if success:
-                reward += disc * beta * spec.success_reward
-            record.success = success
-            record.terminal = "transplant"
-            record.epochs = epoch + 1
-            break
-        if a is Action.TRANSPLANT:
-            reward += disc * spec.transplant_reward[h, k]
-            record.terminal = "transplant"
-            record.epochs = epoch + 1
-            break
-        if a is Action.TRANSPLANT_LIVING:
-            reward += disc * spec.living_donor_reward()[h]
-            record.terminal = "transplant"
-            record.epochs = epoch + 1
-            break
-
-        # waiting actions
-        if spec.variant is Variant.DIALYSIS:
-            regime = MEDICATION_REGIME if a is Action.MEDICATION \
-                else DIALYSIS_REGIME
-            reward += disc * spec.wait_reward[regime, h]
-            h = _sample_row(rng, cum_trans[regime, h], last_trans[regime, h])
-        else:
-            reward += disc * spec.wait_reward[h]
-            h = _sample_row(rng, cum_trans[h], last_trans[h])
-        disc *= beta
+            record.states.append((g, h) if dyn.regime_axis else h)
+            if dyn.organ_axis:
+                record.offers.append(k)
+            record.actions.append(a)
         record.epochs = epoch + 1
+        g = int(dyn.wait_regime[a])
+        if g < 0:
+            reward += disc * dyn.terminal_reward[dyn.terminal_of[a], h, k]
+            if dyn.success_draw:
+                record.success = rng.random() < spec.success_prob[h, k]
+                if record.success:
+                    reward += disc * beta * spec.success_reward
+            record.terminal = "transplant"
+            break
+        reward += disc * dyn.wait_reward[g, h]
+        row = g * spec.n_patient + h
+        h = _sample_row(rng, dyn.cum_trans[row], dyn.last_trans[row])
+        disc *= beta
 
     record.reward = reward
     return record
@@ -174,31 +168,20 @@ def recompute_reward(spec: DiscreteModelSpec, record: TrajectoryRecord) -> float
     """Replay a logged path and re-derive its discounted reward."""
     if not record.actions:
         raise ValueError("record was simulated without record_path=True")
+    dyn = _Dynamics(spec)
     beta = spec.discount
     reward = 0.0
     for t, a in enumerate(record.actions):
-        a = Action(a)
         disc = beta ** t
-        state = record.states[t]
-        if spec.variant is Variant.DIALYSIS:
-            regime, h = state
-        else:
-            regime, h = None, state
-        if a is Action.TRANSPLANT and spec.variant is Variant.CONTINUOUS_ANALOG:
-            reward += disc * spec.wait_reward[h]
-            if record.success:
-                reward += disc * beta * spec.success_reward
-        elif a is Action.TRANSPLANT:
-            reward += disc * spec.transplant_reward[h, record.offers[t]]
-        elif a is Action.TRANSPLANT_LIVING:
-            reward += disc * spec.living_donor_reward()[h]
-        elif a is Action.MEDICATION:
-            reward += disc * spec.wait_reward[MEDICATION_REGIME, h]
-        elif a is Action.DIALYSIS:
-            reward += disc * spec.wait_reward[DIALYSIS_REGIME, h]
-        else:
-            reward += disc * (spec.wait_reward[h] if regime is None
-                              else spec.wait_reward[regime, h])
+        h = record.states[t][1] if dyn.regime_axis else record.states[t]
+        g = dyn.wait_regime[a]
+        if g >= 0:
+            reward += disc * dyn.wait_reward[g, h]
+            continue
+        k = record.offers[t] if dyn.organ_axis else 0
+        reward += disc * dyn.terminal_reward[dyn.terminal_of[a], h, k]
+        if dyn.success_draw and record.success:
+            reward += disc * beta * spec.success_reward
     return reward
 
 
@@ -387,30 +370,10 @@ def _rollout(spec, policy, streams, n, max_epochs):
     float operations, so its reward is bit-identical.  Live trajectories
     have all made the same number of draws at the start of an epoch.
     """
-    rule = VARIANT_RULES[spec.variant]
-    grid = rule.grid(spec)
-    n_patient = spec.n_patient
-    actions = policy.actions.reshape(grid)
-    # each wait action once: going on dialysis is legal in both regimes
-    waits = list({w.action: w for regime in rule.regimes for w in regime}.values())
-    wait_of = np.full(len(Action), -1)
-    wait_of[[w.action for w in waits]] = range(len(waits))
-    wait_reward = np.stack([w.arrays(spec)[0] for w in waits])
-    trans = np.stack([w.arrays(spec)[1] for w in waits]).reshape(-1, n_patient)
-    cum_trans, last_trans = np.cumsum(trans, axis=1), _last_positive(trans)
-    next_regime = np.array([w.regime or 0 for w in waits])
-    terminals = rule.terminal_rewards(spec)
-    terminal_of = np.full(len(Action), -1)
-    terminal_of[list(terminals)] = range(len(terminals))
-    terminal_reward = np.stack([np.broadcast_to(r, grid[1:])
-                                for r in terminals.values()])
-    if rule.organ_axis:
-        cum_offer = np.cumsum(spec.offer_prob, axis=1)
-        last_offer = _last_positive(spec.offer_prob)
-    # the analog's transplant draws its success instead of paying w + beta*R
-    success_draw = spec.variant is Variant.CONTINUOUS_ANALOG
-    draws = 1 + rule.organ_axis  # per epoch
-    beta, death = spec.discount, spec.death_index
+    dyn = _Dynamics(spec)
+    actions = policy.actions.reshape(dyn.grid)
+    draws = 1 + dyn.organ_axis  # per epoch
+    beta, death, n_patient = spec.discount, spec.death_index, spec.n_patient
 
     rewards = np.zeros(n)
     rows = np.arange(n)
@@ -425,27 +388,25 @@ def _rollout(spec, policy, streams, n, max_epochs):
         if not rows.size:
             break
         d = epoch * draws
-        k = (_sample_rows(cum_offer, last_offer, h, streams.random(d, rows))
-             if rule.organ_axis else np.zeros(len(rows), dtype=np.intp))
+        k = (_sample_rows(dyn.cum_offer, dyn.last_offer, h,
+                          streams.random(d, rows))
+             if dyn.organ_axis else np.zeros(len(rows), dtype=np.intp))
         a = actions[g, h, k]
-        j = wait_of[a]
-        stop = j < 0
+        g = dyn.wait_regime[a]
+        stop = g < 0
         if stop.any():
             s_rows, s_h, s_k, s_disc = rows[stop], h[stop], k[stop], disc[stop]
-            if success_draw:
-                s_acc = acc[stop] + s_disc * spec.wait_reward[s_h]
+            s_acc = acc[stop] + s_disc * dyn.terminal_reward[
+                dyn.terminal_of[a[stop]], s_h, s_k]
+            if dyn.success_draw:
                 won = streams.random(d + 1, s_rows) < spec.success_prob[s_h, s_k]
                 s_acc[won] += s_disc[won] * beta * spec.success_reward
-            else:
-                s_acc = acc[stop] + s_disc * terminal_reward[
-                    terminal_of[a[stop]], s_h, s_k]
             rewards[s_rows] = s_acc
             go = ~stop
-            rows, h, g, disc, acc, j = (x[go] for x in (rows, h, g, disc, acc, j))
-        acc = acc + disc * wait_reward[j, h]
-        h = _sample_rows(cum_trans, last_trans, j * n_patient + h,
+            rows, h, g, disc, acc = (x[go] for x in (rows, h, g, disc, acc))
+        acc = acc + disc * dyn.wait_reward[g, h]
+        h = _sample_rows(dyn.cum_trans, dyn.last_trans, g * n_patient + h,
                          streams.random(d + draws - 1, rows))
-        g = next_regime[j]
         disc = disc * beta
     rewards[rows] = acc
     return rewards, len(rows)

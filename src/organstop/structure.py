@@ -323,17 +323,16 @@ def policy_from_organ_limits(spec: DiscreteModelSpec,
     return Policy(spec.variant, actions)
 
 
-def threshold_1d(actions: np.ndarray, death_index: int,
-                 transplant_action: Action = Action.TRANSPLANT_LIVING):
+def threshold_1d(actions: np.ndarray, death_index: int):
     """Constant control limit of a 1-D policy, or None.
 
-    Returns the smallest live index at which the transplant action starts,
+    Returns the smallest live index at which TRANSPLANT_LIVING starts,
     provided the transplant set is a contiguous suffix of the live states
     (len(live) when the policy never transplants).
     """
     line = np.delete(np.asarray(actions), death_index)
     runs = _runs(line[None, :])
-    transplant = runs.action == transplant_action
+    transplant = runs.action == Action.TRANSPLANT_LIVING
     if not transplant.any():
         return len(line)
     if transplant.sum() == 1 and transplant[-1]:   # one run, the last

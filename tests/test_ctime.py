@@ -131,7 +131,7 @@ def test_exponential_failure_rate_constant():
     ts = np.array([0.0, 1.0, 5.0])
     np.testing.assert_allclose(life.failure_rate(ts), 0.7, rtol=1e-9)
     # memorylessness
-    assert life.conditional_survival(2.0, 3.0) == pytest.approx(
+    assert life.survival(5.0) / life.survival(3.0) == pytest.approx(
         math.exp(-1.4), rel=1e-12)
 
 
@@ -284,6 +284,20 @@ def test_renewal_deterministic_gap_memoryless_plateau():
     curve = renewal_lambda(spec, t_max=40.0, step=0.5)
     assert curve.is_nonincreasing()
     assert curve(1.0) == pytest.approx(expected, abs=1e-6)
+
+
+def test_renewal_deterministic_gap_shorter_than_the_step():
+    # the next offer lands between lambda(t) and lambda(t + step): the
+    # equation's fixed point, not the interpolant through a stale 0
+    d = 0.05
+    spec = ContinuousModelSpec(
+        offers=UniformOffers(0.0, 1.0),
+        arrivals=RenewalArrivals(DeterministicInterarrival(d)),
+        lifetime=exponential_lifetime(0.5),
+    )
+    curve = renewal_lambda(spec, t_max=20.0, step=0.1)
+    limit = infinite_horizon_limit(UniformOffers(0.0, 1.0), math.exp(-0.5 * d))
+    assert curve.values[0] == pytest.approx(limit, abs=1e-3)
 
 
 def test_ode_plateau_at_quadratic_root():

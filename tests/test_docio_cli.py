@@ -261,6 +261,49 @@ def test_cli_refuses_a_policy_that_does_not_fit_the_model(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy", [[[7, -3], [9, 1]], [[0.5, 1]], [0, 1]])
+def test_cli_plot_refuses_a_structure_policy_of_no_action_codes(
+        tmp_path, capsys, policy):
+    inp = write_doc(tmp_path, {"kind": "structure_results", "policy": policy})
+    out = tmp_path / "plot.svg"
+    assert cli.main(["plot", "--input", inp, "--output", str(out)]) \
+        == cli.EXIT_VALIDATION
+    assert "$.policy: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the model of the README's library example
+README_MODEL = {"model": {
+    "variant": "base", "n_patient": 3, "death_index": 2,
+    "n_organ": 3, "no_offer_index": 2,
+    "transition": [[0.7, 0.2, 0.1], [0.0, 0.8, 0.2], [0.0, 0.0, 1.0]],
+    "offer_prob": [[0.3, 0.3, 0.4]] * 3,
+    "wait_reward": [1.0, 0.6, 0.0],
+    "transplant_reward": [[8.0, 5.0, 0.0], [7.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
+    "discount": 0.9,
+}}
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    inp = write_doc(tmp_path, README_MODEL)
+    out = tmp_path / "solved.json"
+    src = os.path.dirname(os.path.dirname(organstop.__file__))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "organstop.cli", *argv, "--input", inp,
+             "--output", str(out)], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=src))
+
+    assert run("solve").returncode == cli.EXIT_OK
+    assert json.loads(out.read_text())["kind"] == "solve_results"
+    out.unlink()
+    bad = run("solve", "--no-such-flag")
+    assert bad.returncode == cli.EXIT_USAGE
+    assert "unrecognized arguments: --no-such-flag" in bad.stderr
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_usage(tmp_path, capsys):
     assert cli.main(["solve"]) == cli.EXIT_USAGE
     assert "--input" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Monte Carlo estimator against solver values and closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from organstop.simulate import trajectory_rng
 
 from helpers import random_base_spec, random_dialysis_spec, random_spec
 from reference_brute_force import brute_force_reference
+from reference_simulate import reference_replay, reference_trajectory
 
 
 def deterministic_chain():
@@ -165,6 +167,28 @@ def scalar_rewards(spec, policy, seed, indices, max_epochs=simulate.MAX_EPOCHS):
                                    max_epochs=max_epochs) for i in indices]
     return (np.array([r.reward for r in records]),
             sum(r.terminal == "truncated" for r in records))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_trajectories_match_the_variant_ladder(variant):
+    # solved and random legal policies; cut at once, early, or not at all
+    rng = np.random.default_rng(19)
+    for _ in range(2):
+        spec = random_spec(rng, variant, n_live=3, n_offered=2)
+        policies = [solve_value_iteration(spec)[1], random_policy(spec, rng),
+                    random_policy(spec, rng)]
+        for policy, seed, max_epochs in itertools.product(
+                policies, (1, 2 ** 40 + 3), (1, 3, simulate.MAX_EPOCHS)):
+            for i in range(40):
+                got = simulate_trajectory(spec, policy, trajectory_rng(seed, i),
+                                          max_epochs, record_path=True)
+                want = reference_trajectory(spec, policy,
+                                            trajectory_rng(seed, i),
+                                            max_epochs, record_path=True)
+                # repr tells the field types apart too: int from np.int64
+                assert repr(got) == repr(want)
+                assert repr(recompute_reward(spec, got)) == repr(
+                    reference_replay(spec, want))
 
 
 @pytest.mark.filterwarnings("error")  # uint64 wrap-around must stay silent
