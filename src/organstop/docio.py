@@ -20,6 +20,7 @@ import numpy as np
 
 from . import ctime
 from .model import (
+    VARIANT_RULES,
     DiscreteModelSpec,
     ModelValidationError,
     Orientation,
@@ -67,9 +68,13 @@ def _require(obj, key, path, kind=None):
 
 
 def _array(obj, key, path, dims, optional=False):
+    """A ``dims``-dimensional float array, written dense (nested lists) or
+    sparse (see :func:`_sparse_array`)."""
     if optional and obj.get(key) is None:
         return None
     raw = _require(obj, key, path)
+    if isinstance(raw, dict):
+        return _sparse_array(raw, f"{path}.{key}", dims)
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -79,6 +84,42 @@ def _array(obj, key, path, dims, optional=False):
                             f"expected a {dims}-dimensional array, got "
                             f"{arr.ndim} dimensions")
     return arr
+
+
+def _sparse_array(obj: dict, path: str, dims: int) -> np.ndarray:
+    """``{"shape": [...], "index": [...], "data": [...]}`` as a dense array:
+    ``data[i]`` at flat C-order position ``index[i]``, zero elsewhere.  The
+    indices must be integers, strictly increasing and inside the array, so
+    no entry is written twice."""
+    shape = _require(obj, "shape", path, list)
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise DocumentError(f"{path}.shape",
+                            "expected a list of non-negative integers")
+    if len(shape) != dims:
+        raise DocumentError(f"{path}.shape", f"expected {dims} dimensions, "
+                            f"got {len(shape)}")
+    try:
+        flat = np.zeros(math.prod(shape))
+    except (ValueError, MemoryError) as exc:
+        raise DocumentError(f"{path}.shape", f"too large: {exc}") from None
+    index = _require(obj, "index", path, list)
+    if not all(type(i) is int for i in index):
+        raise DocumentError(f"{path}.index", "expected a list of integers")
+    if index and (min(index) < 0 or max(index) >= flat.size):
+        raise DocumentError(f"{path}.index", f"entry outside [0, {flat.size})")
+    data = _require(obj, "data", path, list)
+    try:
+        data = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{path}.data", f"not numeric: {exc}") from None
+    if data.shape != (len(index),):
+        raise DocumentError(f"{path}.data", f"expected {len(index)} numbers, "
+                            f"one per index, got shape {data.shape}")
+    index = np.array(index, dtype=np.int64)
+    if (np.diff(index) <= 0).any():
+        raise DocumentError(f"{path}.index", "not strictly increasing")
+    flat[index] = data
+    return flat.reshape(shape)
 
 
 def _enum(cls, raw, path):
@@ -97,17 +138,17 @@ def parse_model_section(section: dict, path: str = "model") -> DiscreteModelSpec
         if key not in _MODEL_KEYS:
             warnings.warn(f"ignoring unknown model field {path}.{key}")
     variant = _enum(Variant, _require(section, "variant", path), f"{path}.variant")
-    dims_t = 3 if variant is Variant.DIALYSIS else 2
-    dims_w = 2 if variant is Variant.DIALYSIS else 1
+    n_patient = int(_require(section, "n_patient", path, int))
+    tshape, wshape = VARIANT_RULES[variant].wait_shapes(n_patient)
     spec = DiscreteModelSpec(
         variant=variant,
-        n_patient=int(_require(section, "n_patient", path, int)),
+        n_patient=n_patient,
         death_index=int(_require(section, "death_index", path, int)),
         n_organ=int(_require(section, "n_organ", path, int)),
         no_offer_index=int(_require(section, "no_offer_index", path, int)),
-        transition=_array(section, "transition", path, dims_t),
+        transition=_array(section, "transition", path, len(tshape)),
         offer_prob=_array(section, "offer_prob", path, 2),
-        wait_reward=_array(section, "wait_reward", path, dims_w),
+        wait_reward=_array(section, "wait_reward", path, len(wshape)),
         transplant_reward=_array(section, "transplant_reward", path, 2),
         discount=float(_require(section, "discount", path, (int, float))),
         patient_orientation=_enum(
@@ -349,6 +390,15 @@ def _chunks(obj, level: int = 0):
     yield outer + brackets[1]
 
 
+def _sparse_if_smaller(a: np.ndarray):
+    """``a`` in the sparse form :func:`_sparse_array` reads when that is
+    fewer numbers (two per nonzero entry against one per entry)."""
+    index = np.flatnonzero(a)
+    if 2 * index.size >= a.size:
+        return a
+    return {"shape": list(a.shape), "index": index, "data": a.ravel()[index]}
+
+
 def model_section(spec: DiscreteModelSpec) -> dict:
     out = {
         "variant": spec.variant.value,
@@ -356,7 +406,7 @@ def model_section(spec: DiscreteModelSpec) -> dict:
         "death_index": spec.death_index,
         "n_organ": spec.n_organ,
         "no_offer_index": spec.no_offer_index,
-        "transition": spec.transition,
+        "transition": _sparse_if_smaller(spec.transition),
         "offer_prob": spec.offer_prob,
         "wait_reward": spec.wait_reward,
         "transplant_reward": spec.transplant_reward,

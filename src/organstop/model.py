@@ -111,6 +111,14 @@ class VariantRule:
         return ((n_regimes,) * (n_regimes > 1) + (n_patient,)
                 + (n_columns,) * self.organ_axis)
 
+    def wait_shapes(self, n_patient: int) -> tuple[tuple[int, ...],
+                                                   tuple[int, ...]]:
+        """Shapes of ``transition`` and ``wait_reward``: (H, H) and (H,),
+        stacked over the distinct wait regimes when the waits have them."""
+        regimes = {a.regime for waits in self.regimes for a in waits}
+        stack = () if regimes == {None} else (len(regimes),)
+        return stack + (n_patient, n_patient), stack + (n_patient,)
+
     def legal(self, spec: DiscreteModelSpec, regime: int,
               column: int) -> tuple[Action, ...]:
         """Legal actions at a live cell, in prefer-wait order."""
@@ -286,11 +294,12 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
         return errors
 
     trans = np.asarray(spec.transition, dtype=float)
-    expected_tshape = (2, H, H) if spec.variant is Variant.DIALYSIS else (H, H)
+    expected_tshape, expected_wshape = \
+        VARIANT_RULES[spec.variant].wait_shapes(H)
     if trans.shape != expected_tshape:
         errors.append(f"transition: shape {trans.shape}, expected {expected_tshape}")
         return errors
-    matrices = trans if spec.variant is Variant.DIALYSIS else trans[None]
+    matrices = trans.reshape(-1, H, H)
     for a, mat in enumerate(matrices):
         name = "transition" if len(matrices) == 1 else f"transition[{a}]"
         _check_stochastic_rows(mat, name, errors)
@@ -305,7 +314,6 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
     _check_stochastic_rows(offer, "offer_prob", errors)
 
     wait = np.asarray(spec.wait_reward, dtype=float)
-    expected_wshape = (2, H) if spec.variant is Variant.DIALYSIS else (H,)
     if wait.shape != expected_wshape:
         errors.append(f"wait_reward: shape {wait.shape}, expected {expected_wshape}")
         return errors

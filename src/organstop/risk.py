@@ -56,10 +56,6 @@ class RiskSpec:
         pmf.setflags(write=False)
         object.__setattr__(self, "lifetime_pmf", pmf)
 
-    @property
-    def max_lifetime(self) -> int:
-        return self.lifetime_pmf.shape[-1] - 1
-
 
 def exp_utility(x, gamma):
     """u(x) = 1 - exp(-gamma x), computed without cancellation."""

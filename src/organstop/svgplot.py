@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .model import Action
+from .structure import _runs
 
 CELL = 40
 MARGIN = 60
@@ -53,18 +54,17 @@ def render_region_svg(actions: np.ndarray) -> str:
     ]
     codes = grid.astype(np.int64)
     present = np.unique(codes).tolist()
-    # each action's cell markup per column; \0 and \1 stand for the row's
-    # rect and label y
-    cells = {a: [f'<rect x="{x}" y="\0" width="{CELL}" height="{CELL}" '
-                 f'fill="{ACTION_COLORS.get(a, "#000000")}" stroke="#333333"/>\n'
-                 f'<text x="{x + CELL // 2}" y="\1" text-anchor="middle" '
-                 f'font-size="12" fill="white">{ACTION_LABELS.get(a, "?")}</text>'
-                 for x in range(MARGIN, MARGIN + nk * CELL, CELL)]
-             for a in present}
-    for i, row in enumerate(codes.tolist() if nk else []):
-        y = MARGIN + i * CELL
-        line = "\n".join([cells[a][j] for j, a in enumerate(row)])
-        parts.append(line.replace("\0", str(y)).replace("\1", str(y + CELL // 2 + 5)))
+    # one rect and one centred label per maximal constant run of a row
+    runs = _runs(codes)
+    xs = (MARGIN + runs.start * CELL).tolist()
+    ys = (MARGIN + runs.line * CELL).tolist()
+    widths = ((runs.stop - runs.start) * CELL).tolist()
+    parts += [f'<rect x="{x}" y="{y}" width="{w}" height="{CELL}" '
+              f'fill="{ACTION_COLORS.get(a, "#000000")}" stroke="#333333"/>\n'
+              f'<text x="{x + w // 2}" y="{y + CELL // 2 + 5}" '
+              f'text-anchor="middle" font-size="12" fill="white">'
+              f'{ACTION_LABELS.get(a, "?")}</text>'
+              for x, y, w, a in zip(xs, ys, widths, runs.action.tolist())]
     # axis labels: patient index down the side, organ index along the top
     for i in range(nh):
         parts.append(f'<text x="{MARGIN - 10}" y="{MARGIN + i * CELL + CELL // 2 + 5}" '

@@ -182,6 +182,18 @@ def random_spec(rng, variant, n_live=2, n_offered=1):
     return random_base_spec(rng, n_live, n_offered, variant=variant)
 
 
+def banded_spec(spec, width=1):
+    """The spec with every live row of its transition(s) cut to the band
+    |h' - h| <= ``width`` plus the death column and renormalized: a sparse
+    kernel like a health chain's."""
+    states = np.arange(spec.n_patient)
+    near = np.abs(states[:, None] - states[None, :]) <= width
+    near[:, spec.death_index] = True
+    trans = spec.transition * near
+    return validate_model(replace(
+        spec, transition=trans / trans.sum(axis=-1, keepdims=True)))
+
+
 def reversal_permutations(spec):
     """Old patient and organ indices of :func:`reversed_spec`'s states."""
     return ([spec.death_index] + spec.live_patients()[::-1].tolist(),

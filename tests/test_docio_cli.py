@@ -1,5 +1,6 @@
 """Document parsing, serialization round-trips, and CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,15 +8,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import organstop
-from organstop import Variant, cli, ctime, docio
+from organstop import (DiscreteModelSpec, Variant, cli, ctime, docio,
+                       solve_value_iteration)
 from organstop.ctime import FixedInstants, PoissonArrivals, UniformOffers
 from organstop.docio import DocumentError
 from organstop.svgplot import render_curve_svg, render_region_svg
 
-from helpers import (random_analog_spec, random_base_spec,
-                     random_living_donor_spec, random_spec)
+from helpers import (banded_spec, random_analog_spec, random_base_spec,
+                     random_dialysis_spec, random_living_donor_spec,
+                     random_spec)
 
 
 def model_doc(spec):
@@ -58,6 +62,172 @@ def test_bad_probability_row_names_path():
     section["transition"][0][0] += 0.5
     with pytest.raises(DocumentError, match="model.*row sum"):
         docio.parse_model_section(section)
+
+
+# --- the sparse transition echo ---------------------------------------------
+
+@st.composite
+def banded_specs(draw, variants=tuple(Variant)):
+    """Specs of the given variants whose transitions are mostly zero."""
+    variant = draw(st.sampled_from(variants))
+    n_live = draw(st.integers(7, 12))
+    n_offered = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    spec = random_spec(np.random.default_rng(seed), variant, n_live, n_offered)
+    return banded_spec(spec, draw(st.integers(0, 1)))
+
+
+def assert_same_spec(a, b):
+    for field in dataclasses.fields(DiscreteModelSpec):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def written_json(tmp_path, doc, name):
+    path = tmp_path / name
+    docio.dump_document(doc, str(path))
+    return str(path)
+
+
+@given(banded_specs())
+def test_sparse_transition_echo_parses_as_the_dense_one(tmp_path_factory, spec):
+    tmp = tmp_path_factory.mktemp("echo")
+    section = docio.model_section(spec)
+    assert set(section["transition"]) == {"shape", "index", "data"}
+    assert section["transition"]["shape"] == list(spec.transition.shape)
+    dense = {**section, "transition": docio.json_data(spec.transition)}
+    with open(written_json(tmp, section, "sparse.json")) as fh:
+        sparse_back = docio.parse_model_section(json.load(fh))
+    with open(written_json(tmp, dense, "dense.json")) as fh:
+        dense_back = docio.parse_model_section(json.load(fh))
+    assert_same_spec(sparse_back, dense_back)
+
+
+@settings(max_examples=20)
+@given(banded_specs((Variant.BASE, Variant.COMBINED,
+                     Variant.CONTINUOUS_ANALOG)))
+def test_analyze_and_plot_read_the_sparse_echo(tmp_path_factory, spec):
+    tmp = tmp_path_factory.mktemp("cli")
+    vf, policy = solve_value_iteration(spec)
+    doc = docio.solve_results_document(spec, vf, policy)
+    assert isinstance(doc["model"]["transition"], dict)
+    dense = {**doc, "model": {**doc["model"],
+                              "transition": docio.json_data(spec.transition)}}
+    outputs = []
+    for name, solved in (("sparse", doc), ("dense", dense)):
+        inp = written_json(tmp, solved, f"{name}.json")
+        out = tmp / f"{name}_analysis.json"
+        assert cli.main(["analyze", "--input", inp, "--output", str(out)]) \
+            == cli.EXIT_OK
+        svg = tmp / f"{name}.svg"
+        assert cli.main(["plot", "--input", inp, "--output", str(svg)]) \
+            == cli.EXIT_OK
+        outputs.append([p.read_bytes() for p in (
+            out, tmp / f"{name}_analysis.csv", svg)])
+    assert outputs[0] == outputs[1]
+
+
+def test_transition_is_sparse_exactly_when_that_is_fewer_numbers():
+    spec = random_base_spec(np.random.default_rng(7), n_live=3)
+    assert isinstance(docio.model_section(spec)["transition"], list)
+    # 8 of 16 nonzero: sparse would take 2 * 8 numbers, as many as dense
+    half = np.array([[0.5, 0.3, 0.0, 0.2], [0.0, 0.9, 0.0, 0.1],
+                     [0.0, 0.0, 0.8, 0.2], [0.0, 0.0, 0.0, 1.0]])
+    spec = dataclasses.replace(spec, transition=half)
+    assert docio.model_section(spec)["transition"] == half.tolist()
+    half[0] = [0.8, 0.0, 0.0, 0.2]
+    spec = dataclasses.replace(spec, transition=half)
+    assert docio.model_section(spec)["transition"] == {
+        "shape": [4, 4], "index": [0, 3, 5, 7, 10, 11, 15],
+        "data": [0.8, 0.2, 0.9, 0.1, 0.8, 0.2, 1.0]}
+
+
+def sparse_section():
+    section = docio.model_section(
+        banded_spec(random_base_spec(np.random.default_rng(8), n_live=7), 1))
+    assert section["transition"]["shape"] == [8, 8]
+    return section
+
+
+def _set(key, value):
+    return lambda t: t.update({key: value})
+
+
+def _missing(key):
+    return lambda t: t.pop(key)
+
+
+@pytest.mark.parametrize("mutate, where, message", [
+    (_missing("shape"), "shape", "missing required field"),
+    (_missing("index"), "index", "missing required field"),
+    (_missing("data"), "data", "missing required field"),
+    (_set("shape", "8x8"), "shape", "expected list, got str"),
+    (_set("shape", [8, -8]), "shape", "non-negative integers"),
+    (_set("shape", [8.0, 8]), "shape", "non-negative integers"),
+    (_set("shape", [True, 8]), "shape", "non-negative integers"),
+    (_set("shape", [64]), "shape", "expected 2 dimensions, got 1"),
+    (_set("shape", [2, 8, 8]), "shape", "expected 2 dimensions, got 3"),
+    (_set("shape", [2**62, 8]), "shape", "too large"),
+    (_set("index", 5), "index", "expected list, got int"),
+    (lambda t: t["index"].__setitem__(1, 1.0), "index", "list of integers"),
+    (lambda t: t["index"].__setitem__(0, False), "index", "list of integers"),
+    (lambda t: t["index"].__setitem__(0, [0]), "index", "list of integers"),
+    (lambda t: t["index"].__setitem__(-1, 64), "index", r"outside \[0, 64\)"),
+    (lambda t: t["index"].__setitem__(0, -1), "index", r"outside \[0, 64\)"),
+    (lambda t: t["index"].__setitem__(-1, 2**70), "index", "outside"),
+    (lambda t: t["index"].reverse(), "index", "not strictly increasing"),
+    (lambda t: (t["index"].insert(1, t["index"][0]),
+                t["data"].insert(1, 0.0)), "index",
+     "not strictly increasing"),
+    (lambda t: t["data"].pop(), "data", "one per index"),
+    (lambda t: t["index"].pop(), "data", "one per index"),
+    (lambda t: t["data"].__setitem__(0, "a lot"), "data", "not numeric"),
+    (lambda t: t.update(data=[[x] for x in t["data"]]), "data",
+     "one per index"),
+])
+def test_malformed_sparse_array_names_its_field(mutate, where, message):
+    section = sparse_section()
+    mutate(section["transition"])
+    with pytest.raises(DocumentError,
+                       match=rf"^model\.transition\.{where}: .*{message}"):
+        docio.parse_model_section(section)
+
+
+def test_sparse_array_of_the_wrong_size_fails_validation():
+    section = sparse_section()
+    section["transition"]["shape"] = [9, 9]
+    with pytest.raises(DocumentError,
+                       match=r"^model: transition: shape \(9, 9\), expected "
+                             r"\(8, 8\)"):
+        docio.parse_model_section(section)
+
+
+def test_input_documents_may_write_any_array_sparse():
+    spec = random_dialysis_spec(np.random.default_rng(9), n_live=3)
+    section = docio.model_section(spec)
+    for name in ("transition", "offer_prob", "wait_reward"):
+        arr = getattr(spec, name)
+        section[name] = docio.json_data({
+            "shape": list(arr.shape), "index": np.flatnonzero(arr),
+            "data": arr.ravel()[np.flatnonzero(arr)]})
+    assert_same_spec(docio.parse_model_section(section),
+                     docio.parse_model_section(docio.model_section(spec)))
+
+
+def test_cli_refuses_a_malformed_sparse_echo(tmp_path, capsys):
+    spec = banded_spec(random_base_spec(np.random.default_rng(8), n_live=7), 1)
+    vf, policy = solve_value_iteration(spec)
+    doc = docio.json_data(docio.solve_results_document(spec, vf, policy))
+    doc["model"]["transition"]["index"][-1] = 64
+    out = tmp_path / "analysis.json"
+    assert cli.main(["analyze", "--input", write_doc(tmp_path, doc),
+                     "--output", str(out)]) == cli.EXIT_VALIDATION
+    assert ("error: model.transition.index: entry outside [0, 64)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_unknown_sections_warn_but_load():

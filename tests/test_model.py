@@ -23,7 +23,7 @@ from organstop import (
     validate_policy,
     validation_errors,
 )
-from organstop import model
+from organstop import docio, model
 from organstop.solver import SolveOptions, TieBreak, solve_value_iteration
 
 from helpers import (
@@ -250,6 +250,28 @@ def test_dialysis_spec_shapes_validate():
     spec = random_dialysis_spec(np.random.default_rng(5))
     assert spec.transition.shape == (2, spec.n_patient, spec.n_patient)
     assert validation_errors(spec) == []
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_array_shapes_come_from_the_variant_table(variant):
+    spec = random_spec(np.random.default_rng(11), variant, n_live=2)
+    H = spec.n_patient
+    stack = (2,) if variant is Variant.DIALYSIS else ()
+    tshape, wshape = stack + (H, H), stack + (H,)
+    assert model.VARIANT_RULES[variant].wait_shapes(H) == (tshape, wshape)
+    cut = replace(spec, transition=spec.transition[..., :-1])
+    assert validation_errors(cut) == [
+        f"transition: shape {cut.transition.shape}, expected {tshape}"]
+    cut = replace(spec, wait_reward=spec.wait_reward[..., :-1])
+    assert validation_errors(cut) == [
+        f"wait_reward: shape {cut.wait_reward.shape}, expected {wshape}"]
+    section = docio.model_section(spec)
+    for name, dims in (("transition", len(tshape)), ("wait_reward", len(wshape))):
+        stacked = {**section, name: [section[name]]}
+        with pytest.raises(docio.DocumentError) as err:
+            docio.parse_model_section(stacked)
+        assert str(err.value) == (f"model.{name}: expected a {dims}-dimensional "
+                                  f"array, got {dims + 1} dimensions")
 
 
 def row_loop_check(matrix, name, errors, axis_name="patient state"):

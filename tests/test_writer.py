@@ -1,16 +1,19 @@
-"""The document, region-CSV and region-SVG writers write exactly the bytes of
-the per-element reference writers in ``reference_writers``, and
-``dump_document`` writes JSON data exactly as ``json.dump(indent=2)``."""
+"""The document and region-CSV writers write exactly the bytes of the
+per-element reference writers in ``reference_writers``, ``dump_document``
+writes JSON data exactly as ``json.dump(indent=2)``, and the region SVG
+decodes back into the grid it draws."""
 
 import json
+import re
 
 import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from organstop import docio, simulate, solve_value_iteration
-from organstop.structure import Region
-from organstop.svgplot import render_region_svg
+from organstop.structure import Region, action_runs
+from organstop.svgplot import (ACTION_COLORS, ACTION_LABELS, CELL, MARGIN,
+                               render_region_svg)
 
 import reference_writers as ref
 from helpers import random_analog_spec, random_base_spec
@@ -146,10 +149,51 @@ def test_region_csv_matches_reference(tmp_path_factory, regions):
     assert path.read_bytes().decode() == ref.region_csv_text(regions)
 
 
+# every code without a colour of its own is drawn black; the decoder reads
+# black back as this code
+UNCOLOURED = -1
+_GRID_RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" '
+                        rf'height="{CELL}" fill="(#[0-9a-f]{{6}})"')
+_GRID_LABEL = re.compile(r'<text x="(\d+)" y="(\d+)" text-anchor="middle" '
+                         r'font-size="12" fill="white">([^<]*)</text>')
+
+
+def decode_region_svg(svg: str, shape) -> tuple[np.ndarray, int]:
+    """The action grid the grid-area rects of ``svg`` draw, read by their
+    position, width and colour, and the number of rects; every cell must
+    be drawn exactly once, and each rect centre its action's label."""
+    action_of = {colour: a for a, colour in ACTION_COLORS.items()}
+    grid = np.full(shape, -2, dtype=np.int64)
+    rects = [tuple(int(v) for v in m.groups()[:3]) + (m.group(4),)
+             for m in _GRID_RECT.finditer(svg)]
+    labels = []
+    for x, y, width, colour in rects:
+        assert (x - MARGIN) % CELL == 0 and (y - MARGIN) % CELL == 0
+        assert width % CELL == 0 and width > 0
+        i, j = (y - MARGIN) // CELL, (x - MARGIN) // CELL
+        cells = grid[i, j:j + width // CELL]
+        assert cells.size == width // CELL and (cells == -2).all()
+        action = action_of.get(colour, UNCOLOURED)
+        cells[:] = action
+        labels.append((x + width // 2, y + CELL // 2 + 5,
+                       ACTION_LABELS.get(action, "?")))
+    assert (grid != -2).all()
+    drawn = [(int(x), int(y), label)
+             for x, y, label in _GRID_LABEL.findall(svg)]
+    assert drawn == labels
+    return grid, len(rects)
+
+
 @given(grid=arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=0,
                                           max_side=6),
                    elements=st.integers(-1, 7)))
-def test_region_svg_matches_reference(grid):
-    assert render_region_svg(grid) == ref.region_svg_text(grid)
+def test_region_svg_decodes_to_the_grid(grid):
+    svg = render_region_svg(grid)
+    decoded, n_rects = decode_region_svg(svg, grid.shape)
+    coloured = np.where(np.isin(grid, list(ACTION_COLORS)), grid, UNCOLOURED)
+    assert np.array_equal(decoded, coloured)
+    assert n_rects == sum(len(action_runs(row)) for row in grid)
+    for a in np.unique(grid).tolist():
+        assert f">{ACTION_LABELS.get(a, '?')}<" in svg
     if grid.shape[0]:
-        assert render_region_svg(grid.tolist()) == ref.region_svg_text(grid)
+        assert render_region_svg(grid.tolist()) == svg
