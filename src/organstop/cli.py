@@ -12,7 +12,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -82,17 +81,10 @@ def _parser():
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        return docio.load_json(path)
     except FileNotFoundError:
         print(f"error: input file not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
-    except json.JSONDecodeError as exc:
-        print(f"error: $: not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION) from None
-    if not isinstance(raw, dict):
-        raise docio.DocumentError("$", "document root must be an object")
-    return raw
 
 
 def _solve_from_args(doc, args):
@@ -107,7 +99,7 @@ def cmd_solve(args) -> int:
     doc = docio.parse_document(_load_json(args.input))
     vf, policy = _solve_from_args(doc, args)
     docio.dump_document(
-        docio.solve_results_document(doc.spec, vf, policy), args.output)
+        docio._solve_document(doc.spec, vf, policy), args.output)
     return EXIT_OK if vf.converged else EXIT_NO_CONVERGENCE
 
 
@@ -149,7 +141,7 @@ def cmd_analyze(args) -> int:
         spec = doc.spec
     report = structure.analyze_policy(spec, policy)
     docio.dump_document(
-        docio.structure_results_document(spec, policy, report), args.output)
+        docio._structure_document(spec, policy, report), args.output)
     docio.write_region_csv(_sibling(args.output, ".csv"), report.regions)
     return EXIT_OK
 

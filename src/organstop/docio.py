@@ -10,6 +10,8 @@ sections or keys only warn, so newer documents still load.
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import itertools
 import json
 import math
@@ -284,48 +286,70 @@ def parse_document(doc: dict, path: str = "$") -> ModelDocument:
     return out
 
 
-def load_document(path: str) -> ModelDocument:
+def load_json(path: str) -> dict:
+    """The JSON object in ``path``.  Documents are acyclic trees, so the
+    cyclic collector, whose scans grow with every list the parser makes, is
+    paused while it runs."""
     with open(path) as fh:
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DocumentError("$", f"not valid JSON: {exc}") from None
-    return parse_document(raw)
+        finally:
+            if collecting:
+                gc.enable()
+    if not isinstance(raw, dict):
+        raise DocumentError("$", "document root must be an object")
+    return raw
+
+
+def load_document(path: str) -> ModelDocument:
+    return parse_document(load_json(path))
 
 
 # ---------------------------------------------------------------------------
 # writing
 #
-# Result documents are JSON data, as ``json.loads`` would read them back:
-# the builders turn ndarrays into nested lists a whole array at a time, every
-# float rounded to SIGNIFICANT_DIGITS, and ``dump_document`` writes the data
-# exactly as ``json.dump(..., indent=2)`` does, but hands each list of
-# scalars (or list of such lists) to the C encoder in one call.
+# Each results document is defined once, with its arrays as ndarrays; the
+# CLI writes that form, and the public builders return its ``json_data``.
+# ``dump_document`` writes an array as text straight from the ndarray: each
+# distinct value is rounded and formatted once, a gather gives every element
+# its text, and texts and separators go through one join.
 
 def _round_sig(x: float) -> float:
     return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
 
 
-def _array_data(a: np.ndarray):
-    """``json_data(a.tolist())`` a whole array at a time.
+def _distinct(a: np.ndarray):
+    """The distinct values of a bool, integer or float array as JSON data,
+    floats rounded, and the index of each element's value among them.
 
-    Each distinct float is rounded once, and the lists share its object:
-    arrays in result documents hold few distinct values (a 2001-state
-    transition matrix about 12 000 in 4 million).
+    Arrays in result documents hold few distinct values (a 2001-state
+    transition matrix about 12 000 in 4 million); below 64 elements
+    np.unique costs more than it saves.
     """
-    if a.dtype.kind in "biu":
-        return a.tolist()
+    floats = a.dtype.kind == "f"
+    flat = np.ascontiguousarray(a, dtype=np.float64 if floats else None).ravel()
+    inverse = np.arange(flat.size)
+    if flat.size >= 64:
+        # unique by bit pattern: keeps -0.0 apart from 0.0; asking for the
+        # (unused) first indices makes numpy sort stably, which is several
+        # times faster on the long runs of equal values these arrays hold
+        keys, _, inverse = np.unique(flat.view(np.uint64) if floats else flat,
+                                     return_index=True, return_inverse=True)
+        flat = keys.view(np.float64) if floats else keys
+    values = flat.tolist()
+    return [_round_sig(x) for x in values] if floats else values, inverse
+
+
+def _array_data(a: np.ndarray):
+    """``json_data(a.tolist())`` a whole array at a time."""
     if a.dtype.kind != "f":
-        return json_data(a.tolist())
-    flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
-    # unique by bit pattern: keeps -0.0 apart from 0.0; asking for the
-    # (unused) first indices makes numpy sort stably, which is several times
-    # faster on the long runs of equal values these arrays hold
-    bits, _, inverse = np.unique(flat.view(np.uint64), return_index=True,
-                                 return_inverse=True)
-    rounded = np.empty(bits.size, dtype=object)
-    rounded[:] = [_round_sig(x) for x in bits.view(np.float64).tolist()]
-    return rounded[inverse].reshape(a.shape).tolist()
+        return a.tolist() if a.dtype.kind in "biu" else json_data(a.tolist())
+    values, inverse = _distinct(a)
+    return np.array(values, dtype=object)[inverse].reshape(a.shape).tolist()
 
 
 def json_data(obj):
@@ -346,6 +370,55 @@ def json_data(obj):
     return obj
 
 
+def _encoded(items: list) -> list[str]:
+    """The JSON text of each item, from one call of the C encoder: "\0"
+    occurs in its output only escaped, inside strings."""
+    return json.dumps(items, separators=("\0", ": "))[1:-1].split("\0") \
+        if items else []
+
+
+def _texts(a: np.ndarray) -> list[str]:
+    """The JSON text of every element of a bool, integer or float array."""
+    values, inverse = _distinct(a)
+    return np.array(_encoded(values), dtype=object)[inverse].tolist()
+
+
+def _joined(texts: list[str], seps: list[str]) -> str:
+    """``texts[0] + seps[0] + texts[1] + seps[1] + ...`` in one join."""
+    out = [None] * (2 * len(texts))
+    out[::2], out[1::2] = texts, seps
+    return "".join(out)
+
+
+@functools.lru_cache
+def _layout(m: int, level: int):
+    """How ``json.dumps(indent=2)`` opens an ``m``-dimensional array at
+    nesting ``level``, and what follows an element that ends r of its lists,
+    by r."""
+    pad = ["\n" + "  " * (level + d) for d in range(m + 1)]
+    after = []
+    for r in range(m + 1):
+        close = "".join(pad[d] + "]" for d in range(m - 1, m - 1 - r, -1))
+        after.append(close if r == m else close + "," + "".join(
+            pad[d] + "[" for d in range(m - r, m)) + pad[m])
+    return "[" + "".join(pad[d] + "[" for d in range(1, m)) + pad[m], after
+
+
+def _laid_out(texts: list[str], shape: tuple, level: int) -> str:
+    """The array of ``shape`` whose elements, in C order, have these
+    ``texts``, as ``json.dumps(indent=2)`` lays it out at nesting ``level``."""
+    if 0 in shape:   # the first empty axis ends the nesting
+        shape = shape[:shape.index(0)]
+        texts = ["[]"] * math.prod(shape)
+    if not shape:
+        return texts[0]
+    head, after = _layout(len(shape), level)
+    seps = np.empty(shape, dtype=object)
+    for r, sep in enumerate(after):   # after the last element of r last axes
+        seps[(...,) + (-1,) * r] = sep
+    return head + _joined(texts, seps.ravel().tolist())
+
+
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -354,32 +427,30 @@ def _all_scalars(items) -> bool:
 
 
 def _chunks(obj, level: int = 0):
-    """``json.dumps(obj, indent=2)`` at nesting ``level``, in pieces."""
+    """``json.dumps(obj, indent=2)`` at nesting ``level``, in pieces, for
+    JSON data whose leaves may also be ndarrays and numpy scalars, written
+    as :func:`json_data` turns them into JSON data."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf":
+        yield _laid_out(_texts(obj), obj.shape, level)
+        return
+    if isinstance(obj, np.ndarray):
+        obj = json_data(obj)
+    if isinstance(obj, (list, tuple)) and obj:
+        # a list of scalars, or of rows of scalars of one length
+        rows = ({list, tuple}.issuperset(map(type, obj))
+                and len(set(map(len, obj))) == 1)
+        flat = list(itertools.chain.from_iterable(obj)) if rows else obj
+        if _all_scalars(flat):
+            yield _laid_out(_encoded(flat), (len(obj), len(obj[0])) if rows
+                            else (len(obj),), level)
+            return
     outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    if isinstance(obj, (list, tuple)) and obj and _all_scalars(obj):
-        yield "[" + inner
-        yield json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-        yield outer + "]"
-        return
-    if (isinstance(obj, (list, tuple)) and obj
-            and {list, tuple}.issuperset(map(type, obj)) and all(obj)
-            and _all_scalars(itertools.chain.from_iterable(obj))):
-        # non-empty rows of scalars: encoded with the innermost separator,
-        # "],<sep>[" only occurs between rows (no scalar ends in "]" or
-        # starts with "["), where it becomes the row separator
-        sep = "," + inner + "  "
-        text = json.dumps(obj, separators=(sep, ": ")).replace(
-            "]" + sep + "[", inner + "]," + inner + "[" + inner + "  ")
-        yield "[" + inner + "[" + inner + "  "
-        yield text[2:-2]
-        yield inner + "]" + outer + "]"
-        return
     if isinstance(obj, dict):
         items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
         items, brackets = [("", v) for v in obj], "[]"
     else:
-        yield json.dumps(obj)
+        yield json.dumps(obj if type(obj) in _SCALARS else json_data(obj))
         return
     if not items:
         yield brackets
@@ -399,7 +470,7 @@ def _sparse_if_smaller(a: np.ndarray):
     return {"shape": list(a.shape), "index": index, "data": a.ravel()[index]}
 
 
-def model_section(spec: DiscreteModelSpec) -> dict:
+def _model(spec: DiscreteModelSpec) -> dict:
     out = {
         "variant": spec.variant.value,
         "n_patient": spec.n_patient,
@@ -410,7 +481,7 @@ def model_section(spec: DiscreteModelSpec) -> dict:
         "offer_prob": spec.offer_prob,
         "wait_reward": spec.wait_reward,
         "transplant_reward": spec.transplant_reward,
-        "discount": spec.discount,
+        "discount": json_data(spec.discount),
         "patient_orientation": spec.patient_orientation.value,
         "organ_orientation": spec.organ_orientation.value,
     }
@@ -418,20 +489,26 @@ def model_section(spec: DiscreteModelSpec) -> dict:
         out["living_donor_state"] = spec.living_donor_state
     if spec.success_prob is not None:
         out["success_prob"] = spec.success_prob
-        out["success_reward"] = spec.success_reward
-    return json_data(out)
+        out["success_reward"] = json_data(spec.success_reward)
+    return out
+
+
+def model_section(spec: DiscreteModelSpec) -> dict:
+    return json_data(_model(spec))
+
+
+def _solve_document(spec, value_function, policy) -> dict:
+    return {"kind": "solve_results", "model": _model(spec),
+            "values": value_function.values,
+            "marginal_values": value_function.marginal,
+            "policy": policy.actions,
+            **json_data({"residual": value_function.residual,
+                         "iterations": value_function.iterations,
+                         "converged": bool(value_function.converged)})}
 
 
 def solve_results_document(spec, value_function, policy) -> dict:
-    return {"kind": "solve_results", "model": model_section(spec),
-            **json_data({
-                "values": value_function.values,
-                "marginal_values": value_function.marginal,
-                "policy": policy.actions,
-                "residual": value_function.residual,
-                "iterations": value_function.iterations,
-                "converged": bool(value_function.converged),
-            })}
+    return json_data(_solve_document(spec, value_function, policy))
 
 
 def _limit_report(report):
@@ -443,14 +520,13 @@ def _limit_report(report):
     }
 
 
-def structure_results_document(spec, policy, report) -> dict:
+def _structure_document(spec, policy, report) -> dict:
     doc = {
         "kind": "structure_results",
         "policy": policy.actions,
         "patient_based": _limit_report(report.patient_based),
         "organ_based": _limit_report(report.organ_based),
-        "regions": [{"action": r.action,
-                     "cells": np.array(r.cells, dtype=np.int64).reshape(-1, 2)}
+        "regions": [{"action": r.action, "cells": r.cells}
                     for r in report.regions],
         "region_count": len(report.regions),
     }
@@ -463,7 +539,11 @@ def structure_results_document(spec, policy, report) -> dict:
                        "limits": report.am3r.limits,
                        "region_count": report.am3r.region_count,
                        "disconnected": report.am3r.disconnected}
-    return json_data(doc)
+    return doc
+
+
+def structure_results_document(spec, policy, report) -> dict:
+    return json_data(_structure_document(spec, policy, report))
 
 
 def simulate_results_document(estimate, trajectories=None) -> dict:
@@ -500,7 +580,9 @@ def curve_results_document(curve, critical=None, offer_values=None) -> dict:
 
 
 def dump_document(doc: dict, path: str) -> None:
-    """Write JSON data as ``json.dump(doc, fh, indent=2)`` and a newline."""
+    """Write ``doc`` as ``json.dump(doc, fh, indent=2)`` does, and a
+    newline.  Its leaves may also be ndarrays and numpy scalars, written as
+    :func:`json_data` turns them into JSON data."""
     with open(path, "w") as fh:
         fh.writelines(_chunks(doc))
         fh.write("\n")
@@ -511,11 +593,15 @@ def dump_document(doc: dict, path: str) -> None:
 
 def write_region_csv(path: str, regions) -> None:
     """Region grid as rows (h, k, action, region_id)."""
+    cells = np.concatenate([np.empty((0, 2), np.int64)]
+                           + [r.cells for r in regions])
+    tails = np.array([f",{r.action},{rid}\r\n"
+                      for rid, r in enumerate(regions)], dtype=object)
+    seps = np.full((len(cells), 2), ",", dtype=object)
+    seps[:, 1] = np.repeat(tails, [len(r.cells) for r in regions])
     with open(path, "w", newline="") as fh:
         fh.write("h,k,action,region_id\r\n")
-        for rid, region in enumerate(regions):
-            tail = f",{region.action},{rid}\r\n"
-            fh.writelines(f"{h},{k}{tail}" for h, k in region.cells)
+        fh.write(_joined(_texts(cells), seps.ravel().tolist()))
 
 
 def write_curve_csv(path: str, curve) -> None:

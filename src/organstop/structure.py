@@ -248,7 +248,8 @@ def _am3r(spec, policy, regions) -> Am3rReport:
 @dataclass(frozen=True)
 class Region:
     action: int
-    cells: tuple[tuple[int, int], ...]  # (patient, organ) indices, original labels
+    cells: np.ndarray   # (n, 2) int64 (patient, organ) rows in input labels,
+                        # sorted row-major
 
 
 def region_connectivity(spec: DiscreteModelSpec, policy: Policy) -> list[Region]:
@@ -277,14 +278,13 @@ def region_connectivity(spec: DiscreteModelSpec, policy: Policy) -> list[Region]
     roots, label = np.unique(np.fromiter(map(find, range(n)), np.int64, n),
                              return_inverse=True)
 
-    cells = [[] for _ in roots]     # row-major within each region
-    row_labels, col_labels = rows.tolist(), cols.tolist()
-    for region, line, start, stop in zip(label.tolist(), runs.line.tolist(),
-                                         runs.start.tolist(), runs.stop.tolist()):
-        h = row_labels[line]
-        cells[region] += [(h, k) for k in col_labels[start:stop]]
-    return [Region(action, tuple(sorted(c)))
-            for action, c in zip(runs.action[roots].tolist(), cells)]
+    region = label[runs.cell].ravel()
+    cells = np.stack(np.meshgrid(rows, cols, indexing="ij"),
+                     axis=-1).reshape(-1, 2).astype(np.int64)
+    cells = cells[np.lexsort((cells[:, 1], cells[:, 0], region))]
+    ends = np.cumsum(np.bincount(region, minlength=len(roots)))[:-1]
+    return [Region(action, c) for action, c in
+            zip(runs.action[roots].tolist(), np.split(cells, ends))]
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def _am3r(grid, am2, regions):
 
 def flood_fill_regions(sub, live, offered):
     """4-neighbour components of equal-action cells, in row-major discovery
-    order, with cells in input labels."""
+    order, with cells as sorted (n, 2) int64 rows of input labels."""
     nh, nk = sub.shape
     seen = np.zeros(sub.shape, dtype=bool)
     regions = []
@@ -150,7 +150,8 @@ def flood_fill_regions(sub, live, offered):
                             and sub[na, nb] == action:
                         seen[na, nb] = True
                         stack.append((na, nb))
-            regions.append(Region(int(action), tuple(sorted(cells))))
+            regions.append(Region(int(action), np.array(
+                sorted(cells), dtype=np.int64).reshape(-1, 2)))
     return regions
 
 

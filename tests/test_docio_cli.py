@@ -1,6 +1,7 @@
 """Document parsing, serialization round-trips, and CLI exit codes."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import organstop
 from organstop import (DiscreteModelSpec, Variant, cli, ctime, docio,
-                       solve_value_iteration)
+                       solve_value_iteration, structure)
 from organstop.ctime import FixedInstants, PoissonArrivals, UniformOffers
 from organstop.docio import DocumentError
 from organstop.svgplot import render_curve_svg, render_region_svg
 
+import reference_writers as ref
 from helpers import (banded_spec, random_analog_spec, random_base_spec,
                      random_dialysis_spec, random_living_donor_spec,
                      random_spec)
@@ -484,6 +486,55 @@ def test_cli_usage_errors_exit_usage(tmp_path, capsys):
                      "--tol", "1"]) == cli.EXIT_USAGE
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.COMBINED])
+def test_cli_writes_the_reference_text_of_the_public_builders(tmp_path,
+                                                              variant):
+    spec = banded_spec(random_spec(np.random.default_rng(21), variant, 60, 20))
+    inp = write_doc(tmp_path, model_doc(spec))
+    out = {name: str(tmp_path / name) for name in
+           ("solved.json", "analysis.json", "analysis.csv", "plot.svg")}
+    for command, src, dst in (("solve", inp, "solved.json"),
+                              ("analyze", out["solved.json"], "analysis.json"),
+                              ("plot", out["analysis.json"], "plot.svg")):
+        assert cli.main([command, "--input", src, "--output", out[dst]]) \
+            == cli.EXIT_OK
+    spec = docio.load_document(inp).spec   # the model as the CLI read it
+    vf, policy = solve_value_iteration(spec)
+    report = structure.analyze_policy(spec, policy)
+    solved = docio.solve_results_document(spec, vf, policy)
+    analysis = docio.structure_results_document(spec, policy, report)
+    assert isinstance(solved["model"]["transition"], dict)
+    assert ("am3r" in analysis) == (variant is Variant.COMBINED)
+    json.dumps(solved), json.dumps(analysis)
+    text = {name: (tmp_path / name).read_bytes().decode() for name in out}
+    assert text["solved.json"] == ref.document_text(solved)
+    assert text["analysis.json"] == ref.document_text(analysis)
+    assert text["analysis.csv"] == ref.region_csv_text(report.regions)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
+                                                     collecting):
+    good = write_doc(tmp_path, {"kind": "x"})
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    during = []
+    load = json.load
+    monkeypatch.setattr(json, "load",
+                        lambda fh: during.append(gc.isenabled()) or load(fh))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert docio.load_json(good) == {"kind": "x"}
+        assert gc.isenabled() is collecting
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            docio.load_json(str(bad))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_cli_solve_analyze_plot_pipeline(tmp_path):

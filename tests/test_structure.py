@@ -229,8 +229,9 @@ def relabelled(report, to_h, to_k):
         report,
         patient_based=scan(report.patient_based, to_k),
         organ_based=scan(report.organ_based, to_h),
-        regions=[replace(r, cells=tuple(sorted(
-            (int(to_h[h]), int(to_k[k])) for h, k in r.cells)))
+        regions=[replace(r, cells=np.array(sorted(
+            (int(to_h[h]), int(to_k[k])) for h, k in r.cells),
+            dtype=np.int64).reshape(-1, 2))
             for r in report.regions])
 
 
@@ -240,6 +241,22 @@ def test_reversed_orientation_gives_the_canonical_analysis(case):
     rev_spec, rev_pol, to_h, to_k = reversed_case(spec, pol)
     assert_same(analyze_policy(rev_spec, rev_pol),
                 relabelled(analyze_policy(spec, pol), to_h, to_k))
+
+
+@given(combined_policies())
+def test_region_cells_partition_the_live_offered_grid_row_major(case):
+    spec, pol = case
+    for s, p in (case, reversed_case(spec, pol)[:2]):
+        seen = np.zeros(p.actions.shape, dtype=int)
+        for region in region_connectivity(s, p):
+            cells = region.cells
+            assert cells.dtype == np.int64 and cells.shape == (len(cells), 2)
+            h, k = cells.T
+            assert (np.diff(h * s.n_organ + k) > 0).all()
+            assert (p.actions[h, k] == region.action).all()
+            np.add.at(seen, (h, k), 1)
+        live = np.ix_(s.live_patients(), s.offered_organs())
+        assert (seen[live] == 1).all() and seen.sum() == seen[live].size
 
 
 def test_reversed_threshold_model_keeps_its_thresholds():

@@ -61,7 +61,7 @@ json_scalars = st.one_of(
     st.none(), st.booleans(), st.sampled_from(SPECIAL_FLOATS),
     st.floats(allow_nan=True), st.sampled_from(SPECIAL_INTS),
     st.integers(-(2**70), 2**70),
-    st.text(alphabet="[],\n \"\\a", max_size=6))
+    st.text(alphabet="[],\n \"\\a\0", max_size=6))
 json_data = st.recursive(
     json_scalars,
     lambda inner: st.one_of(
@@ -101,6 +101,50 @@ def test_json_data_arrays_match_reference(tmp_path_factory, arr):
     assert written(tmp, docio.json_data(doc)) == ref.document_text(doc)
 
 
+# documents as the CLI writes them: ndarray leaves, large enough to take
+# both the per-element and the distinct-value path, among scalars that are
+# JSON data already (floats rounded), and the sparse transition echo
+RENDER_FLOATS = SPECIAL_FLOATS + [1e300, -1e300, 1e-300, -1e-300, 4e-320,
+                                  -5e-324]
+render_shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9)
+render_arrays = st.one_of(
+    arrays(np.float64, render_shapes, elements=st.one_of(
+        st.sampled_from(RENDER_FLOATS), st.floats(allow_nan=True))),
+    arrays(np.float64, render_shapes,
+           elements=st.sampled_from(RENDER_FLOATS[:6])),
+    arrays(np.int64, render_shapes, elements=st.one_of(
+        st.sampled_from([0, -1, 2**62, -(2**62)]),
+        st.integers(-(2**62), 2**62))),
+    arrays(np.bool_, render_shapes))
+
+
+def sparse_echo(a):
+    index = np.flatnonzero(a)
+    return {"shape": list(a.shape), "index": index, "data": a.ravel()[index]}
+
+
+echoes = arrays(np.float64, array_shapes(min_dims=2, max_dims=3, max_side=9),
+                elements=st.sampled_from([0.0, 0.0, 0.0, 0.25, 1 / 3, -0.5])
+                ).map(sparse_echo)
+array_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+              st.integers(-(2**70), 2**70),
+              st.floats(allow_nan=True).map(ref.round_sig),
+              render_arrays, echoes),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+@given(doc=array_documents)
+def test_dump_document_writes_arrays_as_the_reference(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("arrays")
+    for nested in (doc, {"doc": doc, "more": [doc, (doc, 1)]}):
+        assert written(tmp, nested) == ref.document_text(nested)
+
+
 def test_all_distinct_values_match_reference(tmp_path):
     rng = np.random.default_rng(0)
     doc = {"values": rng.standard_normal((30, 40)) * 10.0 ** rng.integers(
@@ -137,8 +181,8 @@ def test_result_documents_are_json_data(tmp_path):
 
 # --- region CSV and SVG -------------------------------------------------------
 
-cells = st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
-                 max_size=6).map(tuple)
+cells = arrays(np.int64, st.tuples(st.integers(0, 6), st.just(2)),
+               elements=st.integers(0, 300))
 regions = st.lists(st.builds(Region, st.integers(0, 5), cells), max_size=5)
 
 
