@@ -7,21 +7,22 @@ Exit codes:
   4  continuous-time computation truncated, hit a stiffness guard or gave a
      non-finite curve
   5  usage error: missing file, unknown document kind, bad options
+
+Each command imports the modules it runs when it runs, so a command loads
+only ``docio``, ``model`` and its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from . import ctime, docio, simulate, structure
-from .ctime import FixedInstants, StiffnessError
+from . import docio
 from .model import (VARIANT_RULES, Action, ModelValidationError, Policy,
                     validate_policy)
-from .solver import SolveOptions, solve_value_iteration
-from .svgplot import render_curve_svg, render_region_svg
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -30,16 +31,28 @@ EXIT_TRUNCATED = 4
 EXIT_USAGE = 5
 
 
+def _positive(text: str) -> float:
+    """A finite number > 0; anything else is a usage error naming the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 _OPTIONS = {
-    "--tol": dict(type=float, default=1e-8, help="solver residual target"),
+    "--tol": dict(type=_positive, default=1e-8, help="solver residual target"),
     "--max-iters": dict(type=int, default=100_000,
                         help="value-iteration cap"),
     "--trajectories": dict(type=int, default=10_000,
                            help="simulation sample size"),
     "--seed": dict(type=int, default=0, help="master seed"),
-    "--t-max": dict(type=float, default=10.0,
+    "--t-max": dict(type=_positive, default=10.0,
                     help="time horizon for continuous curves"),
-    "--grid-step": dict(type=float, default=0.01,
+    "--grid-step": dict(type=_positive, default=0.01,
                         help="time-grid step for continuous curves"),
     "--format": dict(choices=["csv"], default=None,
                      help="also write the curve as CSV next to the output"),
@@ -88,6 +101,7 @@ def _load_json(path) -> dict:
 
 
 def _solve_from_args(doc, args):
+    from .solver import SolveOptions, solve_value_iteration
     if doc.spec is None:
         print("error: document has no model section", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
@@ -132,6 +146,7 @@ def _solved_policy(raw):
 
 
 def cmd_analyze(args) -> int:
+    from .structure import analyze_policy
     raw = _load_json(args.input)
     if raw.get("kind") == "solve_results":
         spec, policy = _solved_policy(raw)
@@ -139,7 +154,7 @@ def cmd_analyze(args) -> int:
         doc = docio.parse_document(raw)
         _, policy = _solve_from_args(doc, args)
         spec = doc.spec
-    report = structure.analyze_policy(spec, policy)
+    report = analyze_policy(spec, policy)
     docio.dump_document(
         docio._structure_document(spec, policy, report), args.output)
     docio.write_region_csv(_sibling(args.output, ".csv"), report.regions)
@@ -147,10 +162,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import estimate_policy_value
     doc = docio.parse_document(_load_json(args.input))
     vf, policy = _solve_from_args(doc, args)
-    est = simulate.estimate_policy_value(doc.spec, policy, args.trajectories,
-                                         args.seed)
+    est = estimate_policy_value(doc.spec, policy, args.trajectories, args.seed)
     out = docio.simulate_results_document(est)
     out["solver_value"] = docio.json_data(float(_initial_value(doc.spec, vf)))
     docio.dump_document(out, args.output)
@@ -164,25 +179,23 @@ def _initial_value(spec, vf):
 
 
 def cmd_continuous(args) -> int:
+    from . import ctime
     doc = docio.parse_document(_load_json(args.input))
     cspec = doc.continuous
     if cspec is None:
         print("error: document has no continuous section", file=sys.stderr)
         return EXIT_VALIDATION
-    truncated = False
-    if isinstance(cspec.arrivals, FixedInstants):
+    if isinstance(cspec.arrivals, ctime.FixedInstants):
         lam = ctime.finite_horizon_thresholds(cspec)
         curve = ctime.ThresholdCurve(cspec.arrivals.times, lam)
     elif isinstance(cspec.arrivals, ctime.RenewalArrivals):
         curve = ctime.renewal_lambda(cspec, args.t_max, args.grid_step)
-        truncated = curve.truncated
     else:
         try:
             curve = ctime.poisson_lambda_ode(cspec, args.t_max, args.grid_step)
-        except StiffnessError as exc:
+        except ctime.StiffnessError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TRUNCATED
-        truncated = curve.truncated
     if not np.isfinite(curve.values).all():
         print("error: the threshold curve has non-finite values",
               file=sys.stderr)
@@ -197,10 +210,35 @@ def cmd_continuous(args) -> int:
         args.output)
     if args.format == "csv":
         docio.write_curve_csv(_sibling(args.output, ".csv"), curve)
-    return EXIT_TRUNCATED if truncated else EXIT_OK
+    return EXIT_TRUNCATED if curve.truncated else EXIT_OK
+
+
+def _curve_points(raw):
+    """The times, values and finite critical times of a ``curve_results``
+    document: equal-length non-empty lists of finite numbers, and a list of
+    numbers or "inf"."""
+    arrays = {}
+    for key in ("times", "values"):
+        field = docio._require(raw, key, "$")
+        try:
+            arr = arrays[key] = np.asarray(field, dtype=float)
+        except (TypeError, ValueError):
+            arr = arrays[key] = np.array([np.nan])
+        if arr.shape != arrays["times"].shape or arr.ndim != 1 \
+                or not arr.size or not np.isfinite(arr).all():
+            raise docio.DocumentError(f"$.{key}", "expected a non-empty list "
+                                      "of finite numbers, one per time")
+    critical = raw.get("critical_times", [])
+    if not isinstance(critical, list) or not all(
+            t == "inf" or type(t) in (int, float) for t in critical):
+        raise docio.DocumentError("$.critical_times",
+                                  'expected a list of numbers or "inf"')
+    return (arrays["times"], arrays["values"],
+            [float(t) for t in critical if t != "inf"])
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import render_curve_svg, render_region_svg
     raw = _load_json(args.input)
     kind = raw.get("kind")
     if kind == "solve_results":
@@ -213,10 +251,7 @@ def cmd_plot(args) -> int:
                 "$.policy", "expected a 2-D array of action codes")
         svg = render_region_svg(actions)
     elif kind == "curve_results":
-        critical = [float(t) for t in raw.get("critical_times", [])
-                    if t != "inf"]
-        svg = render_curve_svg(docio._require(raw, "times", "$"),
-                               docio._require(raw, "values", "$"), critical)
+        svg = render_curve_svg(*_curve_points(raw))
     else:
         print(f"error: unknown document kind {kind!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -236,13 +271,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except docio.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ModelValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # DocumentError and ModelValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

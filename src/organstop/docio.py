@@ -17,10 +17,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ctime
 from .model import (
     VARIANT_RULES,
     DiscreteModelSpec,
@@ -30,6 +30,9 @@ from .model import (
     Variant,
     validate_model,
 )
+
+if TYPE_CHECKING:  # else only the continuous-section parsers load ctime
+    from . import ctime
 
 SIGNIFICANT_DIGITS = 12
 
@@ -179,54 +182,53 @@ def _number(section, key, path):
     return float(_require(section, key, path, (int, float)))
 
 
+def _family(section, path, key, what, makers):
+    """``makers[section[key]]()``; an unknown name lists the known ones."""
+    name = _require(section, key, path, str)
+    if name not in makers:
+        raise DocumentError(f"{path}.{key}", f"unknown {what} {name!r} "
+                            f"({', '.join(makers)})")
+    return makers[name]()
+
+
 def parse_offers(section: dict, path: str) -> ctime.OfferDistribution:
-    family = _require(section, "family", path, str)
-    if family == "uniform":
-        return ctime.UniformOffers(_number(section, "low", path),
-                                   _number(section, "high", path))
-    if family == "finite":
-        return ctime.FiniteOffers(_array(section, "values", path, 1),
-                                  _array(section, "probs", path, 1))
-    raise DocumentError(f"{path}.family",
-                        f"unknown offer family {family!r} (uniform, finite)")
+    from . import ctime
+    return _family(section, path, "family", "offer family", {
+        "uniform": lambda: ctime.UniformOffers(
+            _number(section, "low", path), _number(section, "high", path)),
+        "finite": lambda: ctime.FiniteOffers(
+            _array(section, "values", path, 1),
+            _array(section, "probs", path, 1))})
 
 
 def parse_lifetime(section: dict, path: str) -> ctime.LifetimeDistribution:
-    family = _require(section, "family", path, str)
-    if family == "exponential":
-        return ctime.exponential_lifetime(_number(section, "rate", path))
-    if family == "erlang":
-        shape = _require(section, "shape", path, (int, float))
-        return ctime.erlang_lifetime(shape, _number(section, "rate", path))
-    raise DocumentError(f"{path}.family",
-                        f"unknown lifetime family {family!r} "
-                        "(exponential, erlang)")
+    from . import ctime
+    return _family(section, path, "family", "lifetime family", {
+        "exponential": lambda: ctime.exponential_lifetime(
+            _number(section, "rate", path)),
+        "erlang": lambda: ctime.erlang_lifetime(
+            _require(section, "shape", path, (int, float)),
+            _number(section, "rate", path))})
 
 
 def parse_interarrival(section: dict, path: str):
-    family = _require(section, "family", path, str)
-    if family == "deterministic":
-        return ctime.DeterministicInterarrival(_number(section, "gap", path))
-    if family == "exponential":
-        return ctime.exponential_interarrival(_number(section, "rate", path))
-    raise DocumentError(f"{path}.family",
-                        f"unknown interarrival family {family!r} "
-                        "(deterministic, exponential)")
+    from . import ctime
+    return _family(section, path, "family", "interarrival family", {
+        "deterministic": lambda: ctime.DeterministicInterarrival(
+            _number(section, "gap", path)),
+        "exponential": lambda: ctime.exponential_interarrival(
+            _number(section, "rate", path))})
 
 
 def parse_arrivals(section: dict, path: str):
-    kind = _require(section, "kind", path, str)
-    if kind == "fixed":
-        return ctime.FixedInstants(_array(section, "times", path, 1))
-    if kind == "poisson":
-        return ctime.PoissonArrivals(_number(section, "rate", path))
-    if kind == "renewal":
-        return ctime.RenewalArrivals(
-            parse_interarrival(_require(section, "interarrival", path, dict),
-                               f"{path}.interarrival"))
-    raise DocumentError(f"{path}.kind",
-                        f"unknown arrival kind {kind!r} "
-                        "(fixed, poisson, renewal)")
+    from . import ctime
+    return _family(section, path, "kind", "arrival kind", {
+        "fixed": lambda: ctime.FixedInstants(_array(section, "times", path, 1)),
+        "poisson": lambda: ctime.PoissonArrivals(
+            _number(section, "rate", path)),
+        "renewal": lambda: ctime.RenewalArrivals(parse_interarrival(
+            _require(section, "interarrival", path, dict),
+            f"{path}.interarrival"))})
 
 
 def parse_discount_fn(section: dict | None, path: str):
@@ -246,6 +248,7 @@ def parse_discount_fn(section: dict | None, path: str):
 
 def parse_continuous_section(section: dict,
                              path: str = "continuous") -> ctime.ContinuousModelSpec:
+    from . import ctime
     if not isinstance(section, dict):
         raise DocumentError(path, "continuous section must be an object")
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,14 +18,9 @@ from .model import (
     validate_model,
     validate_policy,
 )
-from .ctime import (
-    ContinuousModelSpec,
-    FixedInstants,
-    NonhomogeneousPoissonArrivals,
-    PoissonArrivals,
-    RenewalArrivals,
-    ThresholdCurve,
-)
+
+if TYPE_CHECKING:
+    from .ctime import ContinuousModelSpec
 
 MAX_EPOCHS = 1_000_000
 MAX_BRUTE_FORCE_CELLS = 12
@@ -514,6 +510,8 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
     still open after ``max_arrivals`` arrivals scores 0 and is counted in
     ``truncated``.
     """
+    from .ctime import (FixedInstants, NonhomogeneousPoissonArrivals,
+                        PoissonArrivals, RenewalArrivals)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rewards = np.zeros(n_trajectories)
 

@@ -42,7 +42,7 @@ class SolveOptions:
     tie_break: TieBreak = TieBreak.PREFER_WAIT
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")

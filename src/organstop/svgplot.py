@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from .model import Action
-from .structure import _runs
 
 CELL = 40
 MARGIN = 60
@@ -41,6 +40,7 @@ def _fmt(x: float) -> str:
 
 def render_region_svg(actions: np.ndarray) -> str:
     """Color-coded (patient x organ) action grid with a legend."""
+    from .structure import _runs  # a curve plot needs no structure
     grid = np.asarray(actions)
     if grid.ndim != 2:
         raise ValueError("region plot needs a 2-D action grid")

@@ -16,6 +16,7 @@ from organstop import (DiscreteModelSpec, Variant, cli, ctime, docio,
                        solve_value_iteration, structure)
 from organstop.ctime import FixedInstants, PoissonArrivals, UniformOffers
 from organstop.docio import DocumentError
+from organstop.solver import SolveOptions
 from organstop.svgplot import render_curve_svg, render_region_svg
 
 import reference_writers as ref
@@ -537,6 +538,40 @@ def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
     assert during == [False, False]
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--tol", "nan"),
+    ("solve", "--tol", "0"),
+    ("solve", "--tol", "-1e-8"),
+    ("solve", "--tol", "inf"),
+    ("analyze", "--tol", "nan"),
+    ("simulate", "--tol", "nan"),
+    ("continuous", "--t-max", "-5"),
+    ("continuous", "--t-max", "nan"),
+    ("continuous", "--t-max", "inf"),
+    ("continuous", "--grid-step", "0"),
+    ("continuous", "--grid-step", "-0.1"),
+    ("continuous", "--grid-step", "many"),
+])
+def test_cli_bad_numeric_options_exit_usage(tmp_path, capsys, command, flag,
+                                            value):
+    doc = {"continuous": _GOOD_CONTINUOUS} if command == "continuous" \
+        else README_MODEL
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--input", inp, "--output", str(out),
+                     f"{flag}={value}"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a finite number > 0, got {value!r}" \
+        in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+def test_solve_options_refuse_a_tolerance_that_is_not_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        SolveOptions(tolerance=tolerance)
+
+
 def test_cli_solve_analyze_plot_pipeline(tmp_path):
     spec = random_base_spec(np.random.default_rng(9), n_live=3, n_offered=2)
     inp = write_doc(tmp_path, model_doc(spec))
@@ -615,6 +650,43 @@ def test_cli_plot_unknown_kind(tmp_path):
     inp = write_doc(tmp_path, {"kind": "mystery"})
     assert cli.main(["plot", "--input", inp,
                      "--output", str(tmp_path / "o.svg")]) == cli.EXIT_USAGE
+
+
+_CURVE = {"kind": "curve_results", "times": [0.0, 1.0, 2.0],
+          "values": [0.6, 0.4, 0.3], "critical_times": [0.5, "inf"]}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"critical_times": 5}, "critical_times"),
+    ({"critical_times": ["soon"]}, "critical_times"),
+    ({"critical_times": [True]}, "critical_times"),
+    ({"times": [], "values": []}, "times"),
+    ({"values": []}, "values"),
+    ({"values": [0.6]}, "values"),
+    ({"values": [0.6, None, 0.3]}, "values"),
+    ({"times": [0.0, 1.0, float("nan")]}, "times"),
+    ({"values": [[0.6, 0.4, 0.3]]}, "values"),
+    ({"times": "0 1 2"}, "times"),
+    ({"values": {"a": 1}}, "values"),
+    ({"times": None}, "times"),
+], ids=["critical-number", "critical-text", "critical-bool", "empty",
+        "values-empty", "lengths-differ", "value-null", "time-nan",
+        "values-2d", "times-text", "values-object", "times-null"])
+def test_cli_plot_refuses_a_malformed_curve(tmp_path, capsys, change, field):
+    inp = write_doc(tmp_path, {**_CURVE, **change})
+    out = tmp_path / "curve.svg"
+    assert cli.main(["plot", "--input", inp, "--output", str(out)]) \
+        == cli.EXIT_VALIDATION
+    assert f"$.{field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_plot_draws_a_wellformed_curve(tmp_path):
+    inp = write_doc(tmp_path, _CURVE)
+    out = tmp_path / "curve.svg"
+    assert cli.main(["plot", "--input", inp, "--output", str(out)]) == 0
+    assert open(out).read() == render_curve_svg([0.0, 1.0, 2.0],
+                                                [0.6, 0.4, 0.3], [0.5])
 
 
 def test_cli_plot_curve_and_csv(tmp_path):
@@ -730,6 +802,59 @@ def test_cli_import_and_discrete_solve_load_no_scipy(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.stdout.splitlines() == ["[]"] + ["0 []"] * len(commands)
     assert all(os.path.exists(argv[4]) for argv in commands)
+
+
+_BASE_MODULES = {"organstop", "organstop.cli", "organstop.docio",
+                 "organstop.model"}
+
+
+def test_each_cli_command_loads_only_its_modules(tmp_path):
+    # one fresh interpreter per command, as a user runs them
+    model = write_doc(tmp_path, README_MODEL)
+    ct = write_doc(tmp_path, {"continuous": _GOOD_CONTINUOUS}, "ct.json")
+    paths = {name: str(tmp_path / name) for name in
+             ("solved.json", "analysis.json", "curve.json")}
+    runs = [
+        (["solve", "--input", model, "--output", paths["solved.json"]],
+         {"solver"}),
+        (["analyze", "--input", paths["solved.json"], "--output",
+          paths["analysis.json"]], {"structure"}),
+        (["analyze", "--input", model, "--output", str(tmp_path / "a.json")],
+         {"structure", "solver"}),
+        (["simulate", "--input", model, "--output", str(tmp_path / "s.json"),
+          "--trajectories", "100"], {"solver", "simulate"}),
+        (["continuous", "--input", ct, "--output", paths["curve.json"],
+          "--t-max", "40", "--grid-step", "0.5"], {"ctime"}),
+        # a region grid is drawn from structure's run table
+        (["plot", "--input", paths["analysis.json"], "--output",
+          str(tmp_path / "regions.svg")], {"svgplot", "structure"}),
+        (["plot", "--input", paths["curve.json"], "--output",
+          str(tmp_path / "curve.svg")], {"svgplot"}),
+    ]
+    code = ("import json, sys\n"
+            "mods = lambda: sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'organstop')\n"
+            "before = mods()\n"
+            "from organstop import cli\n"
+            "after = mods()\n"
+            "print(json.dumps([before, after, cli.main(sys.argv[1:]), mods()]))")
+    src = os.path.dirname(os.path.dirname(organstop.__file__))
+    for argv, own in runs:
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+        before, after, exit_code, loaded = json.loads(run.stdout)
+        assert (before, exit_code) == ([], cli.EXIT_OK), argv
+        assert set(after) == _BASE_MODULES
+        assert set(loaded) == _BASE_MODULES | {f"organstop.{m}" for m in own}, \
+            argv
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, organstop; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'organstop'))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert bare.stdout.split() == ["['organstop']"]
 
 
 def test_cli_continuous_nan_rate_exits_validation(tmp_path):
