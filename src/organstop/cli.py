@@ -31,25 +31,33 @@ EXIT_TRUNCATED = 4
 EXIT_USAGE = 5
 
 
-def _positive(text: str) -> float:
-    """A finite number > 0; anything else is a usage error naming the option."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number > 0, got {text!r}")
-    return value
+def _bounded(kind, low, high=math.inf):
+    """An option type: an integer in [low, high), or a finite float > low.
+    Anything else is a usage error, which argparse reports naming the option."""
+    expected = (f"a finite number > {low}" if kind is float
+                else f"an integer in [{low}, {high})" if high < math.inf
+                else f"an integer >= {low}")
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (low <= value < high and (kind is int or value > low)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
+_positive = _bounded(float, 0)
 _OPTIONS = {
     "--tol": dict(type=_positive, default=1e-8, help="solver residual target"),
-    "--max-iters": dict(type=int, default=100_000,
+    "--max-iters": dict(type=_bounded(int, 1), default=100_000,
                         help="value-iteration cap"),
-    "--trajectories": dict(type=int, default=10_000,
+    # one trajectory has no standard error: its interval would be infinite
+    "--trajectories": dict(type=_bounded(int, 2, 2**32), default=10_000,
                            help="simulation sample size"),
-    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seed": dict(type=_bounded(int, 0), default=0, help="master seed"),
     "--t-max": dict(type=_positive, default=10.0,
                     help="time horizon for continuous curves"),
     "--grid-step": dict(type=_positive, default=0.01,
@@ -119,8 +127,9 @@ def cmd_solve(args) -> int:
 
 def _policy_codes(raw):
     """The ``policy`` array of a results document: integers, or an error."""
+    policy = docio._require(raw, "policy", "$")
     try:
-        actions = np.asarray(docio._require(raw, "policy", "$"))
+        actions = np.asarray(policy)
     except (TypeError, ValueError) as exc:
         raise docio.DocumentError("$.policy",
                                   f"not an integer array: {exc}") from None

@@ -45,20 +45,12 @@ class Action(IntEnum):
 
 @dataclass(frozen=True)
 class WaitAction:
-    """A non-terminal action.  With a ``regime`` it earns
-    ``wait_reward[regime]``, moves the patient by ``transition[regime]`` and
-    leads to that regime; without one, those arrays have no regime axis and
-    the patient stays in regime 0.
-    """
+    """A non-terminal action leading to regime ``regime``: it earns and
+    moves the patient by row block ``regime`` of
+    :meth:`VariantRule.wait_arrays`."""
 
     action: Action
-    regime: int | None = None
-
-    def arrays(self, spec: DiscreteModelSpec) -> tuple[np.ndarray, np.ndarray]:
-        """(wait reward per patient state, transition matrix)."""
-        if self.regime is None:
-            return spec.wait_reward, spec.transition
-        return spec.wait_reward[self.regime], spec.transition[self.regime]
+    regime: int = 0
 
 
 @dataclass(frozen=True)
@@ -89,11 +81,14 @@ class VariantRule:
 
     In regime g, V(g, h, k) is the best of the terminal rewards legal at
     (h, k) and the continuation values of regime g's wait actions.  A wait
-    action's continuation is w[h] + beta * sum_h' P[h, h'] vbar(g', h'),
-    with (w, P) its arrays, g' its next regime and vbar the value averaged
-    over the offer distribution (the value itself without an organ axis).
-    Exact ties go to the earliest action in regime waits + terminals under
-    PREFER_WAIT, and in terminals + regime waits under PREFER_TRANSPLANT.
+    action leading to regime g' continues with
+    w[g', h] + beta * sum_h' P[g', h, h'] vbar(g', h'), with (w, P) the
+    stacked :meth:`wait_arrays` and vbar the value averaged over the offer
+    distribution (the value itself without an organ axis).  Exact ties go
+    to the earliest action in regime waits + terminals under PREFER_WAIT,
+    and in terminals + regime waits under PREFER_TRANSPLANT.  The terminals
+    also decide the optional spec fields: a living-donor state exactly with
+    LIVING_DONOR_ORGAN, the success fields exactly with ANALOG_ORGAN.
     """
 
     regimes: tuple[tuple[WaitAction, ...], ...]
@@ -114,10 +109,16 @@ class VariantRule:
     def wait_shapes(self, n_patient: int) -> tuple[tuple[int, ...],
                                                    tuple[int, ...]]:
         """Shapes of ``transition`` and ``wait_reward``: (H, H) and (H,),
-        stacked over the distinct wait regimes when the waits have them."""
-        regimes = {a.regime for waits in self.regimes for a in waits}
-        stack = () if regimes == {None} else (len(regimes),)
+        stacked over the regimes when the rule has more than one."""
+        stack = (len(self.regimes),) * (len(self.regimes) > 1)
         return stack + (n_patient, n_patient), stack + (n_patient,)
+
+    def wait_arrays(self, spec: DiscreteModelSpec):
+        """The stacked wait arrays, rewards (G, H) and transitions (G, H, H):
+        row block g is what waiting into regime g earns and moves by."""
+        shape = (len(self.regimes), spec.n_patient)
+        return (np.reshape(spec.wait_reward, shape),
+                np.reshape(spec.transition, shape + shape[1:]))
 
     def legal(self, spec: DiscreteModelSpec, regime: int,
               column: int) -> tuple[Action, ...]:
@@ -293,9 +294,9 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
     if errors:
         return errors
 
+    rule = VARIANT_RULES[spec.variant]
     trans = np.asarray(spec.transition, dtype=float)
-    expected_tshape, expected_wshape = \
-        VARIANT_RULES[spec.variant].wait_shapes(H)
+    expected_tshape, expected_wshape = rule.wait_shapes(H)
     if trans.shape != expected_tshape:
         errors.append(f"transition: shape {trans.shape}, expected {expected_tshape}")
         return errors
@@ -336,17 +337,17 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
     if not (0.0 < spec.discount < 1.0):
         errors.append(f"discount {spec.discount} outside (0,1)")
 
-    if spec.variant in (Variant.LIVING_DONOR, Variant.COMBINED):
+    if LIVING_DONOR_ORGAN in rule.terminals:
         if spec.living_donor_state is None:
             errors.append(f"living donor state required for {spec.variant.value}")
         elif not (0 <= spec.living_donor_state < K):
             errors.append(f"living_donor_state {spec.living_donor_state} outside [0,{K})")
         elif spec.living_donor_state == nooff:
             errors.append("living_donor_state collides with no_offer_index")
-    elif spec.variant is Variant.BASE and spec.living_donor_state is not None:
-        errors.append("living donor forbidden for Base")
+    elif spec.living_donor_state is not None:
+        errors.append(f"living_donor_state: living donor forbidden for {spec.variant.value}")
 
-    if spec.variant is Variant.CONTINUOUS_ANALOG:
+    if ANALOG_ORGAN in rule.terminals:
         missing = [name for name in ("success_prob", "success_reward")
                    if getattr(spec, name) is None]
         if missing:
@@ -442,14 +443,11 @@ def check_monotone_rewards(spec: DiscreteModelSpec) -> MonotonicityReport:
     live_h = c.n_patient - 1
     live_k = c.n_organ - 1
 
-    wait = np.atleast_2d(c.wait_reward)
+    d_w = np.diff(VARIANT_RULES[c.variant].wait_arrays(c)[0][:, :live_h])
     wait_viol = None
-    for a, r in enumerate(wait):
-        diffs = np.diff(r[:live_h])
-        if (diffs > ORDER_TOL).any():
-            i = int(np.argmax(diffs > ORDER_TOL))
-            wait_viol = ("wait_reward", i, i + 1)
-            break
+    if (d_w > ORDER_TOL).any():
+        i = int(np.argwhere(d_w > ORDER_TOL)[0, 1])
+        wait_viol = ("wait_reward", i, i + 1)
 
     R = c.transplant_reward[:live_h, :live_k]
     trans_viol = None

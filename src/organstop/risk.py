@@ -117,10 +117,10 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
         nonlocal saturated
         m = problem.expect(exp_utility(1.0 + u, gamma),
                            declined)          # expected utility given h'
-        ew = problem.carry(Action.WAIT, m)
-        saturated = saturated or bool((ew[live] >= 1.0 - 1e-16).any())
+        ew = problem.carry(m)
+        saturated = saturated or bool((ew[:, live] >= 1.0 - 1e-16).any())
         ew = np.clip(ew, 0.0, 1.0 - 1e-16)
-        return {Action.WAIT: exp_utility_inverse(ew, gamma)}
+        return exp_utility_inverse(ew, gamma)
 
     vf, policy = _solve(problem, waits, opts, stall_window=DIVERGENCE_WINDOW)
     if saturated:
@@ -143,8 +143,7 @@ def lifetime_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     problem = _Continuation(spec, {Action.TRANSPLANT: risk.lifetime_pmf @ j})
 
     def waits(u, declined):  # one epoch alive, undiscounted
-        return {Action.WAIT: 1.0 + problem.carry(
-            Action.WAIT, problem.expect(u, declined))}
+        return 1.0 + problem.carry(problem.expect(u, declined))
 
     return _solve(problem, waits, opts)
 

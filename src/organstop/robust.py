@@ -127,12 +127,12 @@ def kl_worst_cases(nominal: np.ndarray, values: np.ndarray,
 
 
 def _worst_case_wait(spec, ambiguity, live, values):
-    """Wait value per patient state under the worst row in each KL ball;
-    ``live`` lists the states other than death."""
+    """Wait value (1, H) under the worst row in each KL ball; ``live``
+    lists the states other than death."""
     _, worst = kl_worst_cases(spec.transition[live], values, ambiguity.levels[live])
-    cont = np.zeros(spec.n_patient)
-    cont[live] = spec.wait_reward[live] + spec.discount * worst
-    return {Action.WAIT: cont}
+    cont = np.zeros((1, spec.n_patient))
+    cont[0, live] = spec.wait_reward[live] + spec.discount * worst
+    return cont
 
 
 def robust_backup(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,

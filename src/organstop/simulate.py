@@ -10,11 +10,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import (
+    ANALOG_ORGAN,
     Action,
     DiscreteModelSpec,
     Policy,
     VARIANT_RULES,
-    Variant,
     validate_model,
     validate_policy,
 )
@@ -83,10 +83,11 @@ class _Dynamics:
 
     A live patient h in regime g draws an offer column k (k = 0 without an
     organ axis) and takes a = actions[g, h, k], with actions reshaped to
-    ``grid``.  A wait action leads to regime g' = wait_regime[a] and, as
-    :class:`WaitAction` says, reads row block g' of the wait rewards and
-    transitions: it earns wait_reward[g', h] and moves the patient by row
-    g' * H + h of ``cum_trans``.  A terminal action has wait_regime -1 and
+    ``grid``.  A wait action leads to regime g' = wait_regime[a] and reads
+    row block g' of :meth:`VariantRule.wait_arrays`: it earns
+    wait_reward[g', h] and moves the patient by row g' * H + h of
+    ``cum_trans``, the stacked transitions cumulated and laid out as rows.
+    A terminal action has wait_regime -1 and
     earns terminal_reward[terminal_of[a], h, k].  The analog's transplant
     earns its epoch's w[h] there and then draws its success
     (``success_draw``), which pays beta * success_reward.
@@ -96,16 +97,15 @@ class _Dynamics:
         rule = VARIANT_RULES[spec.variant]
         self.grid = rule.grid(spec)
         self.regime_axis, self.organ_axis = self.grid[0] > 1, rule.organ_axis
-        waits = {w.action: w.regime or 0 for regime in rule.regimes
-                 for w in regime}
+        waits = {w.action: w.regime for regime in rule.regimes for w in regime}
         self.wait_regime = np.full(len(Action), -1)
         self.wait_regime[list(waits)] = list(waits.values())
-        self.wait_reward = spec.wait_reward.reshape(-1, spec.n_patient)
-        transition = spec.transition.reshape(-1, spec.n_patient)
-        self.cum_trans = np.cumsum(transition, axis=1)
-        self.last_trans = _last_positive(transition)
+        self.wait_reward, transitions = rule.wait_arrays(spec)
+        self.cum_trans = np.cumsum(transitions, axis=2).reshape(
+            -1, spec.n_patient)
+        self.last_trans = _last_positive(transitions).ravel()
         terminals = rule.terminal_rewards(spec)
-        self.success_draw = spec.variant is Variant.CONTINUOUS_ANALOG
+        self.success_draw = ANALOG_ORGAN in rule.terminals
         if self.success_draw:
             terminals[Action.TRANSPLANT] = spec.wait_reward[:, None]
         self.terminal_of = np.full(len(Action), -1)
@@ -426,7 +426,8 @@ def _cell_dynamics(spec):
     offer = spec.offer_prob[live] if rule.organ_axis \
         else np.ones((len(live), 1))
     terminals = rule.terminal_rewards(spec)
-    waits = {a.action: a for regime in rule.regimes for a in regime}
+    wait_rewards, transitions = rule.wait_arrays(spec)
+    waits = {a.action: a.regime for regime in rule.regimes for a in regime}
     cells = [(g, h, k) for g in range(n_regimes) for h in live
              for k in range(n_columns)]
     legal = [rule.legal(spec, g, k) for g, _, k in cells]
@@ -445,11 +446,11 @@ def _cell_dynamics(spec):
                 rewards[i, j] = np.broadcast_to(
                     terminals[a], (n_patient, n_columns))[h, k]
             else:
-                wait_reward, transition = waits[a].arrays(spec)
-                rewards[i, j] = wait_reward[h]
-                start = (waits[a].regime or 0) * block
+                rewards[i, j] = wait_rewards[waits[a], h]
+                start = waits[a] * block
                 rows[i, j, start:start + block] = (
-                    (spec.discount * transition[h, live])[:, None] * offer).ravel()
+                    (spec.discount * transitions[waits[a], h, live])[:, None]
+                    * offer).ravel()
     return cells, legal, rewards, rows
 
 

@@ -106,17 +106,13 @@ def marginal_values(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _wait_values(spec, values):
-    """Continuation value per patient state of every wait action, from a
-    value grid."""
+    """Continuation value (G, H) of waiting into each regime, from a value
+    grid."""
     rule = VARIANT_RULES[spec.variant]
+    rewards, transitions = rule.wait_arrays(spec)
     vbar = marginal_values(spec, values).reshape(len(rule.regimes), -1)
-    out = {}
-    for regime in rule.regimes:
-        for wait in regime:
-            reward, transition = wait.arrays(spec)
-            out[wait.action] = reward + spec.discount * (
-                transition @ vbar[wait.regime or 0])
-    return out
+    return rewards + spec.discount * np.stack(
+        [transition @ v for transition, v in zip(transitions, vbar)])
 
 
 def _terminal_split(spec, terminals):
@@ -144,9 +140,9 @@ def _decline(spec, waits, unc):
     regimes = VARIANT_RULES[spec.variant].regimes
     u = np.empty((len(regimes), len(unc)))
     for row, regime in zip(u, regimes):
-        np.maximum(unc, waits[regime[0].action], out=row)
+        np.maximum(unc, waits[regime[0].regime], out=row)
         for wait in regime[1:]:
-            np.maximum(row, waits[wait.action], out=row)
+            np.maximum(row, waits[wait.regime], out=row)
     u[:, spec.death_index] = 0.0
     return u
 
@@ -160,9 +156,9 @@ def _grid(spec, off, u):
 def _backup(spec, waits, terminals):
     """Bellman image from continuation values and terminal rewards.
 
-    ``waits`` maps each wait action of the variant's rule to its value per
-    patient state and ``terminals`` each terminal action to its reward
-    grid; robust and risk-sensitive solvers pass their own.
+    ``waits`` holds, per regime g and patient state, the value of waiting
+    into g, and ``terminals`` maps each terminal action to its reward grid;
+    robust and risk-sensitive solvers pass their own.
     """
     off, unc = _terminal_split(spec, terminals)
     return _grid(spec, off, _decline(spec, waits, unc))
@@ -179,8 +175,9 @@ class _Continuation:
     S[h, j], F the prefix offer mass and S the suffix sum of K payoff(T_off)
     along the sorted row.  j comes from two ``searchsorted`` calls: one
     places u among all of T_off's values, one finds that global rank among
-    the row's keys h N + rank.  Each wait action's transition is kept as
-    its nonzero (rows, cols, data).
+    the row's keys h N + rank.  The stacked wait transitions are kept as
+    their nonzero (rows, cols, data), rows and cols flat (regime, patient)
+    indices, so one ``bincount`` carries every regime.
     """
 
     def __init__(self, spec: DiscreteModelSpec, terminals: dict,
@@ -211,14 +208,9 @@ class _Continuation:
         self.prefix, self.suffix = self.prefix.ravel(), self.suffix.ravel()
         #: j = C in every row: the zero value grid, everything declined
         self.everything_declined = np.arange(H) * (C + 1) + C
-        self.moves = {}
-        for regime in rule.regimes:
-            for wait in regime:
-                reward, transition = wait.arrays(spec)
-                rows, cols = np.nonzero(transition)
-                self.moves[wait.action] = (reward, rows, cols,
-                                           transition[rows, cols],
-                                           wait.regime or 0)
+        self.wait_reward, transitions = rule.wait_arrays(spec)
+        g, h, h_next = np.nonzero(transitions)
+        self._nonzero = (g * H + h, g * H + h_next, transitions[g, h, h_next])
 
     def declined(self, u: np.ndarray) -> np.ndarray:
         """Flat (h, j(h)) index into the F and S tables, per regime."""
@@ -230,17 +222,17 @@ class _Continuation:
         x = payoff(u)."""
         return x * self.prefix[declined] + self.suffix[declined]
 
-    def carry(self, action, x: np.ndarray) -> np.ndarray:
-        """sum_h' P[h, h'] x(g', h') for a wait action leading to regime g'."""
-        _, rows, cols, data, regime = self.moves[action]
-        return np.bincount(rows, weights=data * x[regime][cols],
-                           minlength=self.spec.n_patient)
+    def carry(self, x: np.ndarray) -> np.ndarray:
+        """sum_h' P[g, h, h'] x(g, h') for every regime g, x being (G, H)."""
+        rows, cols, data = self._nonzero
+        return np.bincount(rows, weights=data * x.ravel()[cols],
+                           minlength=x.size).reshape(x.shape)
 
-    def nominal_waits(self, u, declined) -> dict:
-        """w + beta P vbar for every wait action: the nominal recursion."""
-        vbar = self.expect(u, declined)
-        return {action: move[0] + self.spec.discount * self.carry(action, vbar)
-                for action, move in self.moves.items()}
+    def nominal_waits(self, u, declined) -> np.ndarray:
+        """w + beta P vbar for waiting into each regime: the nominal
+        recursion."""
+        return self.wait_reward + self.spec.discount * self.carry(
+            self.expect(u, declined))
 
 
 def _greedy(spec, waits, terminals, tie_break):
@@ -253,7 +245,7 @@ def _greedy(spec, waits, terminals, tie_break):
             for t in rule.terminals]
     actions = np.empty(rule.value_shape(spec), dtype=np.int64)
     for regime, chosen in zip(rule.regimes, actions.reshape(grid)):
-        stay = [(a.action, waits[a.action][:, None]) for a in regime]
+        stay = [(a.action, waits[a.regime][:, None]) for a in regime]
         ranked = stop + stay if tie_break is TieBreak.PREFER_TRANSPLANT \
             else stay + stop
         values = np.stack([np.broadcast_to(v, grid[1:]) for _, v in ranked])
@@ -268,8 +260,8 @@ def _solve(problem, waits, opts, stall_window=None, discount=None):
     """Iterate the decline value to its fixed point; return the value
     function and its greedy policy.
 
-    ``waits(u, declined)`` gives each wait action's continuation value per
-    patient state, ``declined`` being :meth:`_Continuation.declined` of u.
+    ``waits(u, declined)`` gives the (G, H) values of waiting into each
+    regime, ``declined`` being :meth:`_Continuation.declined` of u.
     Iteration 1 steps from the zero value grid and is measured on the grid;
     after it, the grid's sup-norm step is max |u' - u| exactly, since the
     no-offer column is u itself.  A ``discount`` gives the error bound

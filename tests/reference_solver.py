@@ -55,13 +55,24 @@ def marginal_values(spec, values):
 def _wait_values(spec, values):
     rule = VARIANT_RULES[spec.variant]
     vbar = marginal_values(spec, values).reshape(len(rule.regimes), -1)
+    stacked = spec.transition.ndim == 3  # dialysis: one block per regime
     out = {}
     for regime in rule.regimes:
         for wait in regime:
-            reward, transition = wait.arrays(spec)
+            reward, transition = (
+                (spec.wait_reward[wait.regime], spec.transition[wait.regime])
+                if stacked else (spec.wait_reward, spec.transition))
             out[wait.action] = reward + spec.discount * (
-                transition @ vbar[wait.regime or 0])
+                transition @ vbar[wait.regime])
     return out
+
+
+def _by_regime(spec, waits):
+    """The per-action wait values as the library's ``_greedy`` reads them:
+    row g is the value of the wait action leading to regime g."""
+    rule = VARIANT_RULES[spec.variant]
+    into = {a.regime: waits[a.action] for regime in rule.regimes for a in regime}
+    return np.stack([into[g] for g in range(len(rule.regimes))])
 
 
 def _backup(spec, waits, terminals):
@@ -90,7 +101,8 @@ def _solve(spec, waits, terminals, opts, stall_window=None):
         np.zeros(VARIANT_RULES[spec.variant].value_shape(spec)), opts,
         stall_window)
     solution = (V, marginal_values(spec, V), residual, iterations, converged)
-    return solution, _greedy(spec, waits(V), terminals, opts.tie_break)
+    return solution, _greedy(spec, _by_regime(spec, waits(V)), terminals,
+                             opts.tie_break)
 
 
 def solve(spec, opts):

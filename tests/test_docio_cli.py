@@ -403,7 +403,8 @@ def test_cli_unreadable_input(tmp_path, capsys, command):
         spec = random_base_spec(np.random.default_rng(6))
         doc = {"kind": "solve_results", "model": docio.model_section(spec)}
         assert run(json.dumps(doc)) == cli.EXIT_VALIDATION
-        assert "$.policy: missing required field" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: $.policy: missing required field\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "plot"])
@@ -551,6 +552,14 @@ def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
     ("continuous", "--grid-step", "0"),
     ("continuous", "--grid-step", "-0.1"),
     ("continuous", "--grid-step", "many"),
+    ("simulate", "--max-iters", "0"),
+    ("solve", "--max-iters", "-3"),
+    ("analyze", "--max-iters", "2.5"),
+    ("simulate", "--trajectories", "0"),
+    ("simulate", "--trajectories", "1"),
+    ("simulate", "--trajectories", str(2**32)),
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--seed", "seven"),
 ])
 def test_cli_bad_numeric_options_exit_usage(tmp_path, capsys, command, flag,
                                             value):
@@ -561,8 +570,10 @@ def test_cli_bad_numeric_options_exit_usage(tmp_path, capsys, command, flag,
     assert cli.main([command, "--input", inp, "--output", str(out),
                      f"{flag}={value}"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"argument {flag}: expected a finite number > 0, got {value!r}" \
-        in err
+    expected = {"--max-iters": "an integer >= 1",
+                "--trajectories": f"an integer in [2, {2**32})",
+                "--seed": "an integer >= 0"}.get(flag, "a finite number > 0")
+    assert f"argument {flag}: expected {expected}, got {value!r}" in err
     assert not out.exists()
 
 
@@ -613,7 +624,7 @@ def test_cli_simulate_rejects_bad_sample_size_and_seed(tmp_path):
     out = tmp_path / "sim.json"
     for flags in (["--trajectories", "0"], ["--seed", "-1"]):
         assert cli.main(["simulate", "--input", inp, "--output", str(out)]
-                        + flags) == cli.EXIT_VALIDATION
+                        + flags) == cli.EXIT_USAGE
     assert not out.exists()
 
 

@@ -134,6 +134,35 @@ def test_analog_requires_success_fields(missing):
     assert f"{' and '.join(missing)} required for continuous_analog" in errors
 
 
+@pytest.mark.parametrize("present", [True, False], ids=["set", "unset"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_optional_fields_follow_the_variant_terminals(variant, present):
+    """A living-donor state exactly for a living-donor organ, success fields
+    exactly for the analog's organ; otherwise the field is refused."""
+    spec = random_spec(np.random.default_rng(3), variant)
+    name = variant.value
+    donor = variant in (Variant.LIVING_DONOR, Variant.COMBINED)
+    analog = variant is Variant.CONTINUOUS_ANALOG
+    if present:
+        donor_errors = [] if donor else [
+            f"living_donor_state: living donor forbidden for {name}"]
+        success_errors = [] if analog else [
+            f"success fields forbidden for {name}"]
+        success = dict(success_prob=spec.success_prob,
+                       success_reward=spec.success_reward) if analog else \
+            dict(success_prob=np.zeros((spec.n_patient, spec.n_organ)),
+                 success_reward=1.0)
+    else:
+        donor_errors = [f"living donor state required for {name}"] if donor \
+            else []
+        success_errors = [f"success_prob and success_reward required for "
+                          f"{name}"] if analog else []
+        success = dict(success_prob=None, success_reward=None)
+    assert validation_errors(replace(
+        spec, living_donor_state=0 if present else None)) == donor_errors
+    assert validation_errors(replace(spec, **success)) == success_errors
+
+
 def test_validate_model_raises_and_seals():
     with pytest.raises(ModelValidationError):
         validate_model(tiny_spec(discount=1.5))
