@@ -295,39 +295,33 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
         return errors
 
     rule = VARIANT_RULES[spec.variant]
-    trans = np.asarray(spec.transition, dtype=float)
-    expected_tshape, expected_wshape = rule.wait_shapes(H)
-    if trans.shape != expected_tshape:
-        errors.append(f"transition: shape {trans.shape}, expected {expected_tshape}")
+    shapes = dict(zip(("transition", "wait_reward"), rule.wait_shapes(H)),
+                  offer_prob=(H, K), transplant_reward=(H, K))
+    if ANALOG_ORGAN in rule.terminals and spec.success_prob is not None:
+        shapes["success_prob"] = (H, K)
+    for name, expected in shapes.items():
+        shape = np.shape(getattr(spec, name))
+        if shape != expected:
+            errors.append(f"{name}: shape {shape}, expected {expected}")
+    if errors:
         return errors
-    matrices = trans.reshape(-1, H, H)
-    for a, mat in enumerate(matrices):
-        name = "transition" if len(matrices) == 1 else f"transition[{a}]"
+
+    wait, trans = rule.wait_arrays(spec)
+    for g, mat in enumerate(trans):
+        name = "transition" if len(trans) == 1 else f"transition[{g}]"
         _check_stochastic_rows(mat, name, errors)
         if abs(mat[death, death] - 1.0) > ROW_SUM_TOL:
             errors.append(f"{name}: death row not absorbing "
                           f"(transition(death->death) = {mat[death, death]:.12g})")
+    _check_stochastic_rows(spec.offer_prob, "offer_prob", errors)
 
-    offer = np.asarray(spec.offer_prob, dtype=float)
-    if offer.shape != (H, K):
-        errors.append(f"offer_prob: shape {offer.shape}, expected {(H, K)}")
-        return errors
-    _check_stochastic_rows(offer, "offer_prob", errors)
-
-    wait = np.asarray(spec.wait_reward, dtype=float)
-    if wait.shape != expected_wshape:
-        errors.append(f"wait_reward: shape {wait.shape}, expected {expected_wshape}")
-        return errors
     if (wait < 0).any():
         errors.append("wait_reward: negative entry")
-    if np.abs(wait[..., death]).max() > 0:
-        errors.append(f"wait_reward: nonzero reward {np.max(np.abs(wait[..., death])):.12g} "
+    if np.abs(wait[:, death]).max() > 0:
+        errors.append(f"wait_reward: nonzero reward {np.max(np.abs(wait[:, death])):.12g} "
                       "at death state")
 
     R = np.asarray(spec.transplant_reward, dtype=float)
-    if R.shape != (H, K):
-        errors.append(f"transplant_reward: shape {R.shape}, expected {(H, K)}")
-        return errors
     if (R < 0).any():
         errors.append("transplant_reward: negative entry")
     if np.abs(R[death]).max() > 0:
@@ -355,9 +349,7 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
                           f"{spec.variant.value}")
         else:
             p = np.asarray(spec.success_prob, dtype=float)
-            if p.shape != (H, K):
-                errors.append(f"success_prob: shape {p.shape}, expected {(H, K)}")
-            elif (p < -ROW_SUM_TOL).any() or (p > 1 + ROW_SUM_TOL).any():
+            if (p < -ROW_SUM_TOL).any() or (p > 1 + ROW_SUM_TOL).any():
                 errors.append("success_prob: entry outside [0,1]")
             elif spec.success_reward < 0:
                 errors.append(f"success_reward {spec.success_reward} negative")

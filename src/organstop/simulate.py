@@ -72,10 +72,13 @@ def _sample_row(rng, cum_row, last):
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent stream for trajectory ``index`` of a run."""
+    """Stream of trajectory ``index`` of a run: numpy's ``Philox(master_seed)``
+    with ``index`` in word 1 of its counter, so index 0 is that plain stream.
+    Philox is counter-based (Salmon et al. 2011): trajectory i reads the
+    blocks at counters (1, i, 0, 0), (2, i, 0, 0), ..., so no two
+    trajectories share a block in their first 2**64."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(master_seed,
-                                                spawn_key=(index,))))
+        np.random.Philox(master_seed, counter=[0, index, 0, 0]))
 
 
 class _Dynamics:
@@ -186,38 +189,37 @@ def estimate_policy_value(spec: DiscreteModelSpec, policy: Policy,
                           max_epochs: int = MAX_EPOCHS) -> EvalEstimate:
     """Mean discounted reward from the initial state under the policy.
 
-    Trajectory ``i`` draws from ``trajectory_rng(seed, i)``: numpy's Philox
-    keyed by ``SeedSequence(seed, spawn_key=(i,))``.  Its reward is the one
-    :func:`simulate_trajectory` returns on that stream, bit for bit, and does
-    not depend on ``n_trajectories``; trajectories are stepped together in
-    blocks whose size changes no number.  ``seed`` is a non-negative
-    integer and ``1 <= n_trajectories < 2**32``.
+    Trajectory ``i`` draws from ``trajectory_rng(seed, i)``: numpy's
+    ``Philox(seed)`` with ``i`` in word 1 of the counter.  Its reward is the
+    one :func:`simulate_trajectory` returns on that stream, bit for bit, and
+    does not depend on ``n_trajectories``; trajectories are stepped together
+    in blocks whose size changes no number.  ``seed`` is a non-negative
+    integer and ``2 <= n_trajectories < 2**32``.
     """
     validate_model(spec)
     validate_policy(spec, policy)
-    if not 1 <= n_trajectories < 2 ** 32:
-        raise ValueError(f"n_trajectories {n_trajectories} outside [1, 2**32)")
+    _check_sample_size(n_trajectories)
+    seed = operator.index(seed)  # numpy integers too; a float is refused
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     return _estimate(*_simulate_rewards(spec, policy, n_trajectories, seed,
                                         max_epochs))
 
 
 # ---------------------------------------------------------------------------
-# batched rollouts on numpy's per-trajectory Philox streams
+# batched rollouts on the trajectories' Philox counters
 
 _BLOCK = 16_384  # trajectories stepped together: bounds memory, not results
 
-_M32 = 0xFFFFFFFF
-# numpy.random.SeedSequence: hash constants, pool size and mixing shift
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_XSHIFT = np.uint32(16)
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al. 2011)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
+_M32 = 0xFFFFFFFF
 _LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
+# numpy.random.SeedSequence: hash (init, multiplier) pairs and mix multipliers
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _simulate_rewards(spec, policy, n, seed, max_epochs):
@@ -232,59 +234,44 @@ def _simulate_rewards(spec, policy, n, seed, max_epochs):
     return rewards, truncated
 
 
-def _spawn_keys(seed: int, index: np.ndarray) -> np.ndarray:
-    """Philox keys, shape (2, n): column j is
-    ``SeedSequence(seed, spawn_key=(index[j],)).generate_state(2, uint64)``.
-
-    numpy pads the seed's 32-bit words to the pool size, appends the spawn
-    word and hashes them into the pool; only the last round reads the spawn
-    word, so all earlier rounds run on length-1 arrays.  Arithmetic stays on
-    uint32 arrays, which wrap modulo 2**32 as numpy's uint32_t code does.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed {seed} is negative")
-    words = []
-    while True:
-        words.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.asarray(index, dtype=np.uint32))
-
-    hash_const = _INIT_A
+def _hasher(init, mult):
+    """SeedSequence's hashmix: call k XORs in init * mult**k and multiplies
+    by init * mult**(k + 1), modulo 2**32."""
+    const = init
 
     def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _philox_key(seed: int) -> np.ndarray:
+    """The key of numpy's ``Philox(seed)``, the first two uint64 words of
+    ``SeedSequence(seed).generate_state``, hashed on Python ints: asking
+    numpy would import ``numpy.random``, about 5 MB more peak memory for a
+    process that only estimates."""
+    hashmix = _hasher(*_HASH_A)
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
+        result = (_MIX_L * x - _MIX_R * y) & _M32
+        return result ^ result >> 16
 
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
+    # the seed's 32-bit words, low first, padded to the pool of four
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    hash_const = _INIT_B
-    state = []
-    for w in pool:
-        w = w ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _M32
-        w = w * np.uint32(hash_const)
-        state.append((w ^ (w >> _XSHIFT)).astype(np.uint64))
-    return np.stack([state[0] | state[1] << _SHIFT32,
-                     state[2] | state[3] << _SHIFT32])
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    state = list(map(_hasher(*_HASH_B), pool))
+    return np.array([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    dtype=np.uint64)
 
 
 def _mulhilo(a, m):
@@ -297,16 +284,17 @@ def _mulhilo(a, m):
     return hi, a * m
 
 
-def _philox4x64(counter: int, keys: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of the counter (counter, 0, 0, 0) under each key
-    column: four 64-bit words per key, shape (4, n)."""
-    n = keys.shape[1]
-    c0 = np.full(n, np.uint64(counter))
-    c1, c2, c3 = (np.zeros(n, dtype=np.uint64) for _ in range(3))
-    k0, k1 = keys
+def _philox4x64(counter: int, index: np.ndarray,
+                key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the counters (counter, index[j], 0, 0) under one
+    two-word key: four 64-bit words per index, shape (4, n)."""
+    c0 = np.full(len(index), np.uint64(counter))
+    c1 = index
+    c2, c3 = (np.zeros(len(index), dtype=np.uint64) for _ in range(2))
     for r in range(_PHILOX_ROUNDS):
         if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            key = key + _PHILOX_W  # an array sum: wraps without a warning
+        k0, k1 = key
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
@@ -316,14 +304,17 @@ def _philox4x64(counter: int, keys: np.ndarray) -> np.ndarray:
 class _PhiloxStreams:
     """The streams of trajectories ``first .. first + count - 1``.
 
-    Draw d of a stream is word d % 4 of Philox4x64-10 at counter d // 4 + 1,
-    as 53-bit double: what ``trajectory_rng(seed, i).random()`` returns on
-    its d-th call.  Rows index the trajectories from 0; each four-word
-    block is computed once per row and reused by the next three draws.
+    All streams share the key of numpy's ``Philox(seed)``.  Draw d of
+    trajectory i is word d % 4 of Philox4x64-10 at counter
+    (d // 4 + 1, i, 0, 0), as 53-bit double: what
+    ``trajectory_rng(seed, i).random()`` returns on its d-th call.  Rows
+    index the trajectories from 0; each four-word block is computed once per
+    row and reused by the next three draws.
     """
 
     def __init__(self, seed: int, first: int, count: int):
-        self._keys = _spawn_keys(seed, np.arange(first, first + count))
+        self._key = _philox_key(seed)
+        self._index = np.arange(first, first + count, dtype=np.uint64)
         self._block = np.empty((4, count), dtype=np.uint64)
         self._fresh = np.zeros(count, dtype=bool)  # block holds _counter
         self._counter = 0
@@ -335,7 +326,8 @@ class _PhiloxStreams:
             self._fresh[:] = False
         stale = rows[~self._fresh[rows]]
         if stale.size:
-            self._block[:, stale] = _philox4x64(counter, self._keys[:, stale])
+            self._block[:, stale] = _philox4x64(counter, self._index[stale],
+                                                 self._key)
             self._fresh[stale] = True
         return (self._block[draw % 4, rows] >> np.uint64(11)) * 2.0 ** -53
 
@@ -509,8 +501,10 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
     or (fixed instants only) an array of per-instant rejection values.
     Rewards are beta(t) * value at acceptance and 0 on death; a trajectory
     still open after ``max_arrivals`` arrivals scores 0 and is counted in
-    ``truncated``.
+    ``truncated``.  ``2 <= n_trajectories < 2**32``; thinning refuses a
+    rate that is not in [0, rate_bound].
     """
+    _check_sample_size(n_trajectories)
     from .ctime import (FixedInstants, NonhomogeneousPoissonArrivals,
                         PoissonArrivals, RenewalArrivals)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -563,9 +557,13 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
         else:
             gaps = rng.exponential(1.0 / arrivals.rate_bound, m)
             cand = t[idx] + gaps
-            accept_p = np.array([arrivals.rate_fn(u) for u in cand]) \
-                / arrivals.rate_bound
-            real = rng.random(m) < accept_p
+            rates = np.array([arrivals.rate_fn(u) for u in cand], dtype=float)
+            bad = ~((rates >= 0) & (rates <= arrivals.rate_bound))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"thinning: rate {rates[j]} at time {cand[j]} "
+                                 f"outside [0, rate_bound {arrivals.rate_bound}]")
+            real = rng.random(m) < rates / arrivals.rate_bound
         t[idx] += gaps
         dead = t[idx] >= tau[idx]
         open_[idx[dead]] = False
@@ -582,8 +580,14 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
     return _estimate(rewards, int(open_.sum()))
 
 
+def _check_sample_size(n_trajectories):
+    # a standard error needs two trajectories
+    if not 2 <= n_trajectories < 2 ** 32:
+        raise ValueError(f"n_trajectories {n_trajectories} outside [2, 2**32)")
+
+
 def _estimate(rewards, truncated=0):
     n = len(rewards)
-    se = float(rewards.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return EvalEstimate(mean=float(rewards.mean()), std_error=se, n=n,
-                        truncated=truncated)
+    return EvalEstimate(mean=float(rewards.mean()),
+                        std_error=float(rewards.std(ddof=1) / math.sqrt(n)),
+                        n=n, truncated=truncated)

@@ -24,12 +24,16 @@ from organstop import (
     validation_errors,
 )
 from organstop import docio, model
+from organstop.risk import risk_sensitive_value_iteration
+from organstop.robust import robust_value_iteration
 from organstop.solver import SolveOptions, TieBreak, solve_value_iteration
 
 from helpers import (
     random_analog_spec,
     random_base_spec,
     random_dialysis_spec,
+    random_lifetime_pmf,
+    random_living_donor_spec,
     random_spec,
     reversal_permutations,
     reversed_spec,
@@ -169,6 +173,75 @@ def test_validate_model_raises_and_seals():
     spec = validate_model(tiny_spec())
     with pytest.raises(ValueError):
         spec.transition[0, 0] = 0.5
+
+
+def bumped(spec, field, index, value):
+    """``spec`` with ``field[index]`` set to ``value``."""
+    array = np.array(getattr(spec, field))
+    array[index] = value
+    return replace(spec, **{field: array})
+
+
+def donor_spec():
+    return random_living_donor_spec(np.random.default_rng(0))
+
+
+def analog_spec():
+    return random_analog_spec(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: validate_model(replace(tiny_spec(),
+                                    offer_prob=np.full((3, 3), 1 / 3))),
+     "offer_prob: shape (3, 3), expected (3, 2)"),
+    (lambda: validate_model(bumped(tiny_spec(), "wait_reward", 0, -0.5)),
+     "wait_reward: negative entry"),
+    (lambda: validate_model(bumped(tiny_spec(), "transplant_reward",
+                                   (1, 0), -2.0)),
+     "transplant_reward: negative entry"),
+    (lambda: validate_model(bumped(tiny_spec(), "transplant_reward",
+                                   (2, 0), 3.0)),
+     "transplant_reward: nonzero reward at death state (max 3)"),
+    (lambda: validate_model(replace(donor_spec(), living_donor_state=2)),
+     "living_donor_state 2 outside [0,2)"),
+    (lambda: validate_model(replace(donor_spec(), living_donor_state=1)),
+     "living_donor_state collides with no_offer_index"),
+    (lambda: validate_model(replace(
+        analog_spec(), success_prob=analog_spec().success_prob[:, :2])),
+     "success_prob: shape (4, 2), expected (4, 3)"),
+    (lambda: validate_model(bumped(analog_spec(), "success_prob", (0, 0), 1.5)),
+     "success_prob: entry outside [0,1]"),
+    (lambda: validate_model(replace(analog_spec(), success_reward=-1.0)),
+     "success_reward -1.0 negative"),
+    (lambda: validate_model(bumped(analog_spec(), "transplant_reward",
+                                   (0, 0), 20.0)),
+     "transplant_reward inconsistent with success_prob * success_reward"),
+    (lambda: AmbiguitySpec(np.array([0.1, -0.1, 0.0])),
+     "ambiguity level negative"),
+    (lambda: robust_value_iteration(tiny_spec(), AmbiguitySpec(np.zeros(3))),
+     "robust solving is defined for the living_donor variant only"),
+    (lambda: robust_value_iteration(donor_spec(), AmbiguitySpec(np.zeros(3))),
+     "ambiguity levels length mismatch"),
+    (lambda: risk_sensitive_value_iteration(donor_spec(), RiskSpec(
+        1.0, random_lifetime_pmf(np.random.default_rng(0), donor_spec()))),
+     "risk-sensitive solving expects the base variant with unit wait "
+     "rewards, got living_donor"),
+    # every shape is checked before any value: the bad transition row of
+    # the first field goes unreported next to the shape fault
+    (lambda: validate_model(replace(
+        bumped(tiny_spec(), "transition", (0, 0), 0.9),
+        wait_reward=np.zeros(2))),
+     "wait_reward: shape (2,), expected (3,)"),
+], ids=["offer-shape", "negative-wait", "negative-transplant",
+        "transplant-at-death", "donor-state-range", "donor-state-no-offer",
+        "success-shape", "success-range", "negative-success-reward",
+        "inconsistent-transplant", "robust-negative-level",
+        "robust-variant", "robust-levels-length", "risk-variant",
+        "shapes-first"])
+def test_refusals_name_their_fault(refused, message):
+    with pytest.raises(ModelValidationError) as exc:
+        refused()
+    assert exc.value.errors == [message]
 
 
 def test_legal_actions_respects_no_offer():

@@ -11,6 +11,7 @@ from organstop import (
     compare_robust_myopic,
     kl_divergence,
     kl_worst_case,
+    robust_backup,
     robust_value_iteration,
     solve_value_iteration,
 )
@@ -167,6 +168,20 @@ def test_zero_radius_matches_nominal_solve():
         vf_n, pol_n = solve_value_iteration(spec, SolveOptions(tolerance=1e-12))
         np.testing.assert_allclose(vf_r.values, vf_n.values, atol=1e-9)
         np.testing.assert_array_equal(pol_r.actions, pol_n.actions)
+
+
+def test_robust_residual_is_the_robust_bellman_residual():
+    # a loose tolerance on a long horizon stops with a residual well above
+    # rounding
+    spec = random_living_donor_spec(np.random.default_rng(4), discount=0.99)
+    for radius in (0.0, 0.02, 0.1, 0.3):
+        amb = AmbiguitySpec(np.full(spec.n_patient, radius))
+        vf, _ = robust_value_iteration(spec, amb, SolveOptions(tolerance=1e-3))
+        image = robust_backup(spec, amb, vf.values)
+        assert image.shape == vf.values.shape
+        assert vf.residual > 1e-6
+        assert vf.residual == pytest.approx(np.max(np.abs(image - vf.values)),
+                                            rel=1e-9)
 
 
 def test_robust_value_below_nominal():

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,11 +12,14 @@ import pytest
 from organstop import (
     Action,
     ContinuousModelSpec,
+    DeterministicInterarrival,
     DiscreteModelSpec,
+    FiniteOffers,
     FixedInstants,
     NonhomogeneousPoissonArrivals,
     Policy,
     PoissonArrivals,
+    RenewalArrivals,
     SolveOptions,
     UniformOffers,
     Variant,
@@ -22,6 +28,7 @@ from organstop import (
     estimate_policy_value,
     exponential_lifetime,
     finite_horizon_thresholds,
+    infinite_horizon_limit,
     recompute_reward,
     simulate_trajectory,
     solve_value_iteration,
@@ -222,17 +229,55 @@ def test_batched_rollout_is_bit_identical(variant, monkeypatch):
                           scalar_rewards(spec, policies[1], 5, range(30))[0])
 
 
-@pytest.mark.filterwarnings("error")
-def test_spawn_keys_match_numpy():
-    index = np.array([0, 1, 2, 16_383, 16_384, 2 ** 32 - 1])
+@pytest.mark.filterwarnings("error")  # uint64 wrap-around must stay silent
+def test_philox_streams_match_numpy():
     for seed in (0, 7, 88, 2 ** 32, 2 ** 40 + 3, 2 ** 130 + 5):
-        keys = simulate._spawn_keys(seed, index)
-        for j, i in enumerate(index):
-            state = np.random.Philox(np.random.SeedSequence(
-                seed, spawn_key=(int(i),))).state["state"]
-            assert np.array_equal(keys[:, j], state["key"])
+        assert np.array_equal(simulate._philox_key(seed),
+                              np.random.Philox(seed).state["state"]["key"])
+        for i in (0, 1, 2, 16_383, 16_384, 2 ** 32 - 1):
+            streams = simulate._PhiloxStreams(seed, i, 1)
+            rng = trajectory_rng(seed, i)
+            for d in range(9):
+                got = streams.random(d, np.array([0]))[0]
+                assert got.tobytes() == np.float64(rng.random()).tobytes()
+        plain = np.random.Generator(np.random.Philox(seed))
+        assert trajectory_rng(seed, 0).random(9).tobytes() == \
+            plain.random(9).tobytes()
+    spec = random_base_spec(np.random.default_rng(12))
+    _, policy = solve_value_iteration(spec)
     with pytest.raises(ValueError, match="seed"):
-        simulate._spawn_keys(-1, index)
+        estimate_policy_value(spec, policy, 10, seed=-1)
+    with pytest.raises(TypeError):
+        estimate_policy_value(spec, policy, 10, seed=7.0)
+    # a numpy integer seed is the same seed
+    assert estimate_policy_value(spec, policy, 50, seed=np.uint64(2 ** 63)) \
+        == estimate_policy_value(spec, policy, 50, seed=2 ** 63)
+
+
+def test_estimates_do_not_load_numpy_random():
+    # importing numpy.random adds about 5 MB to a process's peak memory, and
+    # the batched streams need only the key of Philox(seed)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from organstop import (DiscreteModelSpec, Variant,\n"
+            "                       estimate_policy_value, solve_value_iteration)\n"
+            "spec = DiscreteModelSpec(\n"
+            "    variant=Variant.BASE, n_patient=3, death_index=2, n_organ=3,\n"
+            "    no_offer_index=2, transition=np.array(\n"
+            "        [[0.7, 0.2, 0.1], [0.0, 0.8, 0.2], [0.0, 0.0, 1.0]]),\n"
+            "    offer_prob=np.tile([0.3, 0.3, 0.4], (3, 1)),\n"
+            "    wait_reward=np.array([1.0, 0.6, 0.0]),\n"
+            "    transplant_reward=np.array(\n"
+            "        [[8.0, 5.0, 0.0], [7.0, 4.0, 0.0], [0.0, 0.0, 0.0]]),\n"
+            "    discount=0.9)\n"
+            "policy = solve_value_iteration(spec)[1]\n"
+            "print(estimate_policy_value(spec, policy, 100, 2 ** 130 + 5).n,\n"
+            "      'numpy.random' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.split() == ["100", "False"]
 
 
 class ConstantDraws:
@@ -271,10 +316,18 @@ def test_sample_index_is_clamped_to_last_possible_state():
 
 
 def test_sample_size_is_validated():
+    # one trajectory has no standard error
     spec = deterministic_chain()
-    for n in (0, -3, 2 ** 32):
+    continuous = ContinuousModelSpec(
+        offers=UniformOffers(0.0, 1.0),
+        arrivals=PoissonArrivals(rate=1.0),
+        lifetime=exponential_lifetime(1.0),
+    )
+    for n in (1, 0, -3, 2 ** 32):
         with pytest.raises(ValueError, match="n_trajectories"):
             estimate_policy_value(spec, wait_policy(spec), n, seed=1)
+        with pytest.raises(ValueError, match="n_trajectories"):
+            continuous_time_simulate(continuous, lambda t: 0.0, n, seed=1)
 
 
 # --- continuous time ----------------------------------------------------------
@@ -323,6 +376,18 @@ def test_thinning_requires_rate_bound():
         continuous_time_simulate(spec, lambda t: 0.0, 10, seed=4)
 
 
+@pytest.mark.parametrize("rate", [2.0, math.inf, math.nan, -0.5])
+def test_thinning_refuses_a_rate_outside_its_bound(rate):
+    spec = ContinuousModelSpec(
+        offers=UniformOffers(0.0, 1.0),
+        arrivals=NonhomogeneousPoissonArrivals(rate_fn=lambda t: rate,
+                                               rate_bound=1.0),
+        lifetime=exponential_lifetime(1.0),
+    )
+    with pytest.raises(ValueError, match=rf"rate {rate} at time \d"):
+        continuous_time_simulate(spec, lambda t: 0.0, 10, seed=4)
+
+
 def test_thinning_matches_homogeneous():
     offers = UniformOffers(0.0, 1.0)
     life = exponential_lifetime(0.5)
@@ -340,6 +405,23 @@ def test_thinning_matches_homogeneous():
         rule, 40_000, seed=6)
     gap = abs(homo.mean - thin.mean)
     assert gap <= 3 * math.hypot(homo.std_error, thin.std_error)
+
+
+def test_renewal_rule_value_matches_stationary_limit():
+    # offers every d time units to a patient with an exponential lifetime:
+    # fixed instants with survival exp(-mu d) each, whose optimal rule
+    # accepts above gamma and is worth gamma
+    d, mu = 0.5, 0.4
+    offers = FiniteOffers(np.array([3.0, 1.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+    gamma = float(infinite_horizon_limit(offers, math.exp(-mu * d)))
+    spec = ContinuousModelSpec(
+        offers=offers,
+        arrivals=RenewalArrivals(DeterministicInterarrival(d)),
+        lifetime=exponential_lifetime(mu),
+    )
+    est = continuous_time_simulate(spec, lambda t: gamma, 40_000, seed=12)
+    assert est.truncated == 0
+    assert abs(est.mean - gamma) <= 4 * est.std_error
 
 
 def test_continuous_simulation_counts_truncated_trajectories():
