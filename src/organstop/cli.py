@@ -5,7 +5,7 @@ Exit codes:
   2  document or model validation error
   3  solver did not reach the residual target
   4  continuous-time computation truncated, hit a stiffness guard or gave a
-     non-finite curve
+     non-finite curve; or a non-finite simulate result
   5  usage error: missing file, unknown document kind, bad options
 
 Each command imports the modules it runs when it runs, so a command loads
@@ -57,7 +57,8 @@ _OPTIONS = {
     # one trajectory has no standard error: its interval would be infinite
     "--trajectories": dict(type=_bounded(int, 2, 2**32), default=10_000,
                            help="simulation sample size"),
-    "--seed": dict(type=_bounded(int, 0), default=0, help="master seed"),
+    "--seed": dict(type=_bounded(int, 0, 2**128), default=0,
+                   help="master seed, the Philox key"),
     "--t-max": dict(type=_positive, default=10.0,
                     help="time horizon for continuous curves"),
     "--grid-step": dict(type=_positive, default=0.01,
@@ -174,9 +175,15 @@ def cmd_simulate(args) -> int:
     from .simulate import estimate_policy_value
     doc = docio.parse_document(_load_json(args.input))
     vf, policy = _solve_from_args(doc, args)
-    est = estimate_policy_value(doc.spec, policy, args.trajectories, args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        est = estimate_policy_value(doc.spec, policy, args.trajectories,
+                                    args.seed)
+    value = float(_initial_value(doc.spec, vf))
+    if not np.isfinite([est.mean, est.std_error, value]).all():
+        print("error: non-finite estimate or solver value", file=sys.stderr)
+        return EXIT_TRUNCATED
     out = docio.simulate_results_document(est)
-    out["solver_value"] = docio.json_data(float(_initial_value(doc.spec, vf)))
+    out["solver_value"] = docio.json_data(value)
     docio.dump_document(out, args.output)
     return EXIT_OK
 

@@ -60,11 +60,15 @@ _MODEL_KEYS = {
 _KNOWN_SECTIONS = {"model", "continuous"}
 
 
-def _require(obj, key, path, kind=None):
+def _require(obj, key, path, kind=None, optional=False):
+    """``obj[key]``, of type ``kind`` (never bool); optional: null is None."""
+    if optional and obj.get(key) is None:
+        return None
     if key not in obj:
         raise DocumentError(f"{path}.{key}", "missing required field")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind)
+                             or isinstance(value, bool)):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         names = " or ".join(k.__name__ for k in kinds)
         raise DocumentError(f"{path}.{key}",
@@ -162,9 +166,11 @@ def parse_model_section(section: dict, path: str = "model") -> DiscreteModelSpec
         organ_orientation=_enum(
             Orientation, section.get("organ_orientation", "larger_is_worse"),
             f"{path}.organ_orientation"),
-        living_donor_state=section.get("living_donor_state"),
+        living_donor_state=_require(section, "living_donor_state", path, int,
+                                    optional=True),
         success_prob=_array(section, "success_prob", path, 2, optional=True),
-        success_reward=section.get("success_reward"),
+        success_reward=_require(section, "success_reward", path, (int, float),
+                                optional=True),
     )
     try:
         return validate_model(spec)

@@ -400,16 +400,15 @@ def check_ifr(matrix: np.ndarray,
     flipped = ordering is Orientation.LARGER_IS_BETTER
     if flipped:
         m = m[::-1, ::-1]
-    n = m.shape[0]
     tails = np.cumsum(m[:, ::-1], axis=1)[:, ::-1]  # tails[i, l] = sum_{j >= l}
-    for i in range(n - 1):
-        bad = tails[i, :] > tails[i + 1, :] + ORDER_TOL
-        if bad.any():
-            l = int(np.argmax(bad))
-            if flipped:
-                return IfrReport(False, (n - 2 - i, n - 1 - i, m.shape[1] - 1 - l))
-            return IfrReport(False, (i, i + 1, l))
-    return IfrReport(True, None)
+    bad = tails[:-1] > tails[1:] + ORDER_TOL  # bad[i, l]: row i beats row i+1
+    if not bad.any():
+        return IfrReport(True, None)
+    i, l = divmod(int(np.argmax(bad)), bad.shape[1])  # smallest i, then l
+    if flipped:
+        n, k = m.shape
+        return IfrReport(False, (n - 2 - i, n - 1 - i, k - 1 - l))
+    return IfrReport(False, (i, i + 1, l))
 
 
 @dataclass(frozen=True)

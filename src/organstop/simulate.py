@@ -71,14 +71,14 @@ def _sample_row(rng, cum_row, last):
                int(last))
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Stream of trajectory ``index`` of a run: numpy's ``Philox(master_seed)``
-    with ``index`` in word 1 of its counter, so index 0 is that plain stream.
-    Philox is counter-based (Salmon et al. 2011): trajectory i reads the
-    blocks at counters (1, i, 0, 0), (2, i, 0, 0), ..., so no two
-    trajectories share a block in their first 2**64."""
+def trajectory_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream of trajectory ``index``: ``Philox(key=seed)`` with ``index`` in
+    word 1 of its counter.  Philox is counter-based (Salmon et al. 2011):
+    any 128-bit key is valid and distinct keys give independent streams.
+    Trajectory i reads the blocks at counters (1, i, 0, 0), (2, i, 0, 0),
+    ..., so no two trajectories share a block in their first 2**64."""
     return np.random.Generator(
-        np.random.Philox(master_seed, counter=[0, index, 0, 0]))
+        np.random.Philox(key=seed, counter=[0, index, 0, 0]))
 
 
 class _Dynamics:
@@ -189,19 +189,17 @@ def estimate_policy_value(spec: DiscreteModelSpec, policy: Policy,
                           max_epochs: int = MAX_EPOCHS) -> EvalEstimate:
     """Mean discounted reward from the initial state under the policy.
 
-    Trajectory ``i`` draws from ``trajectory_rng(seed, i)``: numpy's
-    ``Philox(seed)`` with ``i`` in word 1 of the counter.  Its reward is the
-    one :func:`simulate_trajectory` returns on that stream, bit for bit, and
+    Trajectory ``i`` draws from ``trajectory_rng(seed, i)``: Philox keyed
+    by the seed, with ``i`` in word 1 of the counter.  Its reward is the one
+    :func:`simulate_trajectory` returns on that stream, bit for bit, and
     does not depend on ``n_trajectories``; trajectories are stepped together
-    in blocks whose size changes no number.  ``seed`` is a non-negative
-    integer and ``2 <= n_trajectories < 2**32``.
+    in blocks whose size changes no number.  ``seed`` is an integer in
+    [0, 2**128) and ``2 <= n_trajectories < 2**32``.
     """
     validate_model(spec)
     validate_policy(spec, policy)
     _check_sample_size(n_trajectories)
-    seed = operator.index(seed)  # numpy integers too; a float is refused
-    if seed < 0:
-        raise ValueError(f"seed {seed} is negative")
+    seed = _check_seed(seed)
     return _estimate(*_simulate_rewards(spec, policy, n_trajectories, seed,
                                         max_epochs))
 
@@ -215,11 +213,7 @@ _BLOCK = 16_384  # trajectories stepped together: bounds memory, not results
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_M32 = 0xFFFFFFFF
-_LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
-# numpy.random.SeedSequence: hash (init, multiplier) pairs and mix multipliers
-_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _simulate_rewards(spec, policy, n, seed, max_epochs):
@@ -232,46 +226,6 @@ def _simulate_rewards(spec, policy, n, seed, max_epochs):
             spec, policy, _PhiloxStreams(seed, first, count), count, max_epochs)
         truncated += cut
     return rewards, truncated
-
-
-def _hasher(init, mult):
-    """SeedSequence's hashmix: call k XORs in init * mult**k and multiplies
-    by init * mult**(k + 1), modulo 2**32."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _philox_key(seed: int) -> np.ndarray:
-    """The key of numpy's ``Philox(seed)``, the first two uint64 words of
-    ``SeedSequence(seed).generate_state``, hashed on Python ints: asking
-    numpy would import ``numpy.random``, about 5 MB more peak memory for a
-    process that only estimates."""
-    hashmix = _hasher(*_HASH_A)
-
-    def mix(x, y):
-        result = (_MIX_L * x - _MIX_R * y) & _M32
-        return result ^ result >> 16
-
-    # the seed's 32-bit words, low first, padded to the pool of four
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [mix(p, hashmix(w)) for p in pool]
-    state = list(map(_hasher(*_HASH_B), pool))
-    return np.array([state[0] | state[1] << 32, state[2] | state[3] << 32],
-                    dtype=np.uint64)
 
 
 def _mulhilo(a, m):
@@ -304,16 +258,16 @@ def _philox4x64(counter: int, index: np.ndarray,
 class _PhiloxStreams:
     """The streams of trajectories ``first .. first + count - 1``.
 
-    All streams share the key of numpy's ``Philox(seed)``.  Draw d of
-    trajectory i is word d % 4 of Philox4x64-10 at counter
-    (d // 4 + 1, i, 0, 0), as 53-bit double: what
-    ``trajectory_rng(seed, i).random()`` returns on its d-th call.  Rows
-    index the trajectories from 0; each four-word block is computed once per
-    row and reused by the next three draws.
+    All streams share one key, the seed as two 64-bit words, low first;
+    computing it needs no ``numpy.random``.  Draw d of trajectory i is word
+    d % 4 of Philox4x64-10 at counter (d // 4 + 1, i, 0, 0), as 53-bit
+    double: what ``trajectory_rng(seed, i).random()`` returns on its d-th
+    call.  Rows index the trajectories from 0; each four-word block is
+    computed once per row and reused by the next three draws.
     """
 
     def __init__(self, seed: int, first: int, count: int):
-        self._key = _philox_key(seed)
+        self._key = np.array([seed & 2 ** 64 - 1, seed >> 64], dtype=np.uint64)
         self._index = np.arange(first, first + count, dtype=np.uint64)
         self._block = np.empty((4, count), dtype=np.uint64)
         self._fresh = np.zeros(count, dtype=bool)  # block holds _counter
@@ -501,21 +455,26 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
     or (fixed instants only) an array of per-instant rejection values.
     Rewards are beta(t) * value at acceptance and 0 on death; a trajectory
     still open after ``max_arrivals`` arrivals scores 0 and is counted in
-    ``truncated``.  ``2 <= n_trajectories < 2**32``; thinning refuses a
-    rate that is not in [0, rate_bound].
+    ``truncated``.  All trajectories read ``trajectory_rng(seed, 0)``.
+    ``2 <= n_trajectories < 2**32``; thinning refuses a rate that is not in
+    [0, rate_bound].
     """
     _check_sample_size(n_trajectories)
     from .ctime import (FixedInstants, NonhomogeneousPoissonArrivals,
                         PoissonArrivals, RenewalArrivals)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = trajectory_rng(_check_seed(seed), 0)
     rewards = np.zeros(n_trajectories)
-
-    if isinstance(spec.arrivals, FixedInstants):
+    fixed = isinstance(spec.arrivals, FixedInstants)
+    if isinstance(threshold, np.ndarray):
+        if not fixed or threshold.shape != spec.arrivals.times.shape:
+            raise ValueError("threshold: an array needs fixed instants, one "
+                             f"value each, got shape {threshold.shape}")
+    elif not callable(threshold):
+        raise TypeError("threshold: neither callable nor an array")
+    if fixed:
         times = spec.arrivals.times
-        if isinstance(threshold, np.ndarray):
-            lam = threshold
-        else:
-            lam = np.array([threshold(t) for t in times])
+        lam = (threshold if isinstance(threshold, np.ndarray)
+               else np.array([threshold(t) for t in times]))
         alive = np.ones(n_trajectories, dtype=bool)
         done = np.zeros(n_trajectories, dtype=bool)
         for j, t in enumerate(times):
@@ -531,7 +490,6 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
             done[idx[accept]] = True
         return _estimate(rewards)
 
-    lam_fn = threshold if callable(threshold) else threshold.__call__
     tau = spec.lifetime.sample(rng, n_trajectories)
     t = np.zeros(n_trajectories)
     open_ = np.ones(n_trajectories, dtype=bool)
@@ -573,7 +531,7 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
         at = idx[hit]
         x = np.asarray(spec.offers.sample(rng, len(at)), dtype=float)
         betas = np.array([spec.discount_fn(u) for u in t[at]])
-        lams = np.array([lam_fn(u) for u in t[at]])
+        lams = np.array([threshold(u) for u in t[at]])
         take = x > lams / betas
         rewards[at[take]] = betas[take] * x[take]
         open_[at[take]] = False
@@ -584,6 +542,13 @@ def _check_sample_size(n_trajectories):
     # a standard error needs two trajectories
     if not 2 <= n_trajectories < 2 ** 32:
         raise ValueError(f"n_trajectories {n_trajectories} outside [2, 2**32)")
+
+
+def _check_seed(seed):
+    seed = operator.index(seed)  # numpy integers too; a float is refused
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed {seed} outside [0, 2**128)")
+    return seed
 
 
 def _estimate(rewards, truncated=0):

@@ -53,6 +53,25 @@ def test_living_donor_round_trip():
     assert back.living_donor_state == spec.living_donor_state
 
 
+@pytest.mark.parametrize("field, value", [
+    ("living_donor_state", "a"), ("living_donor_state", 1.5),
+    ("living_donor_state", [0]), ("living_donor_state", True),
+    ("success_reward", [2]), ("success_reward", "x"),
+    ("success_reward", True),
+])
+def test_cli_refuses_an_optional_model_field_of_the_wrong_type(
+        tmp_path, capsys, field, value):
+    make = random_living_donor_spec if field == "living_donor_state" \
+        else random_analog_spec
+    doc = model_doc(make(np.random.default_rng(3)))
+    doc["model"][field] = value
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", "--input", write_doc(tmp_path, doc),
+                     "--output", str(out)]) == cli.EXIT_VALIDATION
+    assert f"model.{field}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_field_names_path():
     section = docio.model_section(random_base_spec(np.random.default_rng(2)))
     del section["transition"]
@@ -560,6 +579,7 @@ def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
     ("simulate", "--trajectories", str(2**32)),
     ("simulate", "--seed", "-1"),
     ("simulate", "--seed", "seven"),
+    ("simulate", "--seed", str(2**128)),
 ])
 def test_cli_bad_numeric_options_exit_usage(tmp_path, capsys, command, flag,
                                             value):
@@ -572,7 +592,8 @@ def test_cli_bad_numeric_options_exit_usage(tmp_path, capsys, command, flag,
     err = capsys.readouterr().err
     expected = {"--max-iters": "an integer >= 1",
                 "--trajectories": f"an integer in [2, {2**32})",
-                "--seed": "an integer >= 0"}.get(flag, "a finite number > 0")
+                "--seed": f"an integer in [0, {2**128})"}.get(
+                    flag, "a finite number > 0")
     assert f"argument {flag}: expected {expected}, got {value!r}" in err
     assert not out.exists()
 
@@ -625,6 +646,17 @@ def test_cli_simulate_rejects_bad_sample_size_and_seed(tmp_path):
     for flags in (["--trajectories", "0"], ["--seed", "-1"]):
         assert cli.main(["simulate", "--input", inp, "--output", str(out)]
                         + flags) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_cli_simulate_non_finite_estimate_exits_truncated(tmp_path, capsys):
+    doc = json.loads(json.dumps(README_MODEL))
+    doc["model"]["transplant_reward"][0][0] = 1e308  # the mean overflows
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--input", inp, "--output", str(out),
+                     "--trajectories", "1000"]) == cli.EXIT_TRUNCATED
+    assert "non-finite estimate" in capsys.readouterr().err
     assert not out.exists()
 
 

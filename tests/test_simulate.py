@@ -206,7 +206,7 @@ def test_batched_rollout_is_bit_identical(variant, monkeypatch):
     policies = [solve_value_iteration(spec)[1], random_policy(spec, rng),
                 random_policy(spec, rng)]
     for policy in policies:
-        for seed in (7, 2 ** 40 + 3, 2 ** 130 + 5):
+        for seed in (7, 2 ** 40 + 3, 2 ** 127 + 5):
             for max_epochs in (2, simulate.MAX_EPOCHS):
                 got = simulate._simulate_rewards(spec, policy, 60, seed,
                                                  max_epochs)
@@ -231,22 +231,28 @@ def test_batched_rollout_is_bit_identical(variant, monkeypatch):
 
 @pytest.mark.filterwarnings("error")  # uint64 wrap-around must stay silent
 def test_philox_streams_match_numpy():
-    for seed in (0, 7, 88, 2 ** 32, 2 ** 40 + 3, 2 ** 130 + 5):
-        assert np.array_equal(simulate._philox_key(seed),
-                              np.random.Philox(seed).state["state"]["key"])
+    for seed in (0, 7, 88, 2 ** 32, 2 ** 64 + 3, 2 ** 127 + 5, 2 ** 128 - 1):
         for i in (0, 1, 2, 16_383, 16_384, 2 ** 32 - 1):
             streams = simulate._PhiloxStreams(seed, i, 1)
             rng = trajectory_rng(seed, i)
             for d in range(9):
                 got = streams.random(d, np.array([0]))[0]
                 assert got.tobytes() == np.float64(rng.random()).tobytes()
-        plain = np.random.Generator(np.random.Philox(seed))
-        assert trajectory_rng(seed, 0).random(9).tobytes() == \
-            plain.random(9).tobytes()
+            # the seed is the key: any trajectory is plain numpy
+            keyed = np.random.Generator(
+                np.random.Philox(key=seed, counter=[0, i, 0, 0]))
+            assert trajectory_rng(seed, i).random(9).tobytes() == \
+                keyed.random(9).tobytes()
     spec = random_base_spec(np.random.default_rng(12))
     _, policy = solve_value_iteration(spec)
-    with pytest.raises(ValueError, match="seed"):
-        estimate_policy_value(spec, policy, 10, seed=-1)
+    continuous = ContinuousModelSpec(offers=UniformOffers(0.0, 1.0),
+                                     arrivals=PoissonArrivals(rate=1.0),
+                                     lifetime=exponential_lifetime(1.0))
+    for seed in (-1, 2 ** 128):  # a key has 128 bits
+        with pytest.raises(ValueError, match="seed"):
+            estimate_policy_value(spec, policy, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            continuous_time_simulate(continuous, lambda t: 0.0, 10, seed=seed)
     with pytest.raises(TypeError):
         estimate_policy_value(spec, policy, 10, seed=7.0)
     # a numpy integer seed is the same seed
@@ -256,7 +262,7 @@ def test_philox_streams_match_numpy():
 
 def test_estimates_do_not_load_numpy_random():
     # importing numpy.random adds about 5 MB to a process's peak memory, and
-    # the batched streams need only the key of Philox(seed)
+    # the batched streams need only the seed, which is their Philox key
     code = ("import sys\n"
             "import numpy as np\n"
             "from organstop import (DiscreteModelSpec, Variant,\n"
@@ -271,7 +277,7 @@ def test_estimates_do_not_load_numpy_random():
             "        [[8.0, 5.0, 0.0], [7.0, 4.0, 0.0], [0.0, 0.0, 0.0]]),\n"
             "    discount=0.9)\n"
             "policy = solve_value_iteration(spec)[1]\n"
-            "print(estimate_policy_value(spec, policy, 100, 2 ** 130 + 5).n,\n"
+            "print(estimate_policy_value(spec, policy, 100, 2 ** 127 + 5).n,\n"
             "      'numpy.random' in sys.modules)")
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -445,6 +451,48 @@ def test_continuous_simulation_counts_truncated_trajectories():
                                       max_arrivals=1)
     assert always.truncated == 0
     assert always == continuous_time_simulate(spec, lambda t: 0.0, n, seed=11)
+
+
+def test_continuous_estimate_reads_trajectory_zero_of_its_seed():
+    # one instant, every offer accepted: survival draws, then offer draws,
+    # all from trajectory_rng(seed, 0)
+    spec = ContinuousModelSpec(offers=UniformOffers(0.0, 1.0),
+                               arrivals=FixedInstants(np.array([1.0])),
+                               survival_alphas=np.array([0.6]))
+    n, seed = 1000, 2 ** 127 + 5
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    alive = rng.random(n) < 0.6
+    rewards = np.zeros(n)
+    rewards[alive] = spec.discount_fn(1.0) * spec.offers.sample(
+        rng, int(alive.sum()))
+    est = continuous_time_simulate(spec, np.array([0.0]), n, seed)
+    assert est.mean == float(rewards.mean())
+
+
+FIXED_3 = ContinuousModelSpec(offers=UniformOffers(0.0, 1.0),
+                              arrivals=FixedInstants(np.arange(1.0, 4.0)),
+                              survival_alphas=np.full(3, 0.9))
+POISSON = ContinuousModelSpec(offers=UniformOffers(0.0, 1.0),
+                              arrivals=PoissonArrivals(1.0),
+                              lifetime=exponential_lifetime(0.5))
+
+
+@pytest.mark.parametrize("spec, threshold, error", [
+    # an array needs fixed instants and one value per instant
+    (FIXED_3, np.zeros(1), ValueError),
+    (FIXED_3, np.zeros(4), ValueError),
+    (FIXED_3, np.zeros((1, 3)), ValueError),
+    (POISSON, np.zeros(3), ValueError),
+    # anything else must be callable
+    (FIXED_3, 0.5, TypeError),
+    (FIXED_3, [0.0, 0.0, 0.0], TypeError),
+    (POISSON, 0.5, TypeError),
+], ids=["short", "long", "2d", "poisson-array", "float", "list",
+        "poisson-float"])
+def test_continuous_estimate_refuses_a_malformed_threshold(spec, threshold,
+                                                          error):
+    with pytest.raises(error, match="threshold"):
+        continuous_time_simulate(spec, threshold, 10, seed=1)
 
 
 def test_continuous_simulation_reproducible():
