@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -117,8 +118,19 @@ class VariantRule:
         """The stacked wait arrays, rewards (G, H) and transitions (G, H, H):
         row block g is what waiting into regime g earns and moves by."""
         shape = (len(self.regimes), spec.n_patient)
-        return (np.reshape(spec.wait_reward, shape),
-                np.reshape(spec.transition, shape + shape[1:]))
+        return (np.asarray(spec.wait_reward).reshape(shape),
+                np.asarray(spec.transition).reshape(shape + shape[1:]))
+
+    @cached_property
+    def wait_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(regime led to, action code), (R, G) each: slot r of regime g is
+        its r-th wait action, the last one repeated in shorter regimes."""
+        slots = [[regime[min(r, len(regime) - 1)] for regime in self.regimes]
+                 for r in range(max(map(len, self.regimes)))]
+        into, codes = (np.array([[getattr(a, name) for a in row] for row in slots])
+                       for name in ("regime", "action"))
+        into.flags.writeable = codes.flags.writeable = False  # shared by all
+        return into, codes
 
     def legal(self, spec: DiscreteModelSpec, regime: int,
               column: int) -> tuple[Action, ...]:
@@ -250,11 +262,15 @@ def _check_stochastic_rows(matrix, name, errors, axis_name="patient state"):
     outside [0, 1]; the whole matrix is checked at once through per-row
     sums, minima and maxima, and only bad rows are visited."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
-    sums = matrix.sum(axis=1)
+    sums = np.add.reduce(matrix, axis=1)
+    if (np.maximum.reduce(np.abs(sums - 1.0), axis=None) <= ROW_SUM_TOL
+            and np.minimum.reduce(matrix, axis=None) >= -ROW_SUM_TOL
+            and np.maximum.reduce(matrix, axis=None) <= 1.0 + ROW_SUM_TOL):
+        return  # every row is fine: the common case, in fewer calls
     off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
-    bad_entry = ((matrix.min(axis=1) < -ROW_SUM_TOL)
-                 | (matrix.max(axis=1) > 1.0 + ROW_SUM_TOL))
-    for i in np.flatnonzero(off_sum | bad_entry).tolist():
+    bad_entry = ((np.minimum.reduce(matrix, axis=1) < -ROW_SUM_TOL)
+                 | (np.maximum.reduce(matrix, axis=1) > 1.0 + ROW_SUM_TOL))
+    for i in (off_sum | bad_entry).nonzero()[0].tolist():
         if off_sum[i]:
             errors.append(f"{name}: row sum {sums[i]:.12g} at {axis_name} {i}")
         if bad_entry[i]:
@@ -315,21 +331,27 @@ def validation_errors(spec: DiscreteModelSpec) -> list[str]:
                           f"(transition(death->death) = {mat[death, death]:.12g})")
     _check_stochastic_rows(spec.offer_prob, "offer_prob", errors)
 
-    if (wait < 0).any():
+    if np.minimum.reduce(wait, axis=None) < 0:
         errors.append("wait_reward: negative entry")
-    if np.abs(wait[:, death]).max() > 0:
+    if any(wait[:, death].tolist()):
         errors.append(f"wait_reward: nonzero reward {np.max(np.abs(wait[:, death])):.12g} "
                       "at death state")
 
     R = np.asarray(spec.transplant_reward, dtype=float)
-    if (R < 0).any():
+    if np.minimum.reduce(R, axis=None) < 0:
         errors.append("transplant_reward: negative entry")
-    if np.abs(R[death]).max() > 0:
+    if any(R[death].tolist()):
         errors.append(f"transplant_reward: nonzero reward at death state "
                       f"(max {np.abs(R[death]).max():.12g})")
 
+    top = float(np.maximum.reduce(wait, axis=None))
     if not (0.0 < spec.discount < 1.0):
         errors.append(f"discount {spec.discount} outside (0,1)")
+    # V <= max(max w / (1 - beta), max terminal <= max w + max R)
+    elif not np.isfinite(max(top / (1.0 - float(spec.discount)),
+                             top + float(np.maximum.reduce(R, axis=None)))):
+        errors.append("wait_reward and transplant_reward: value bound max(max "
+                      "wait / (1 - discount), max wait + max transplant) overflows")
 
     if LIVING_DONOR_ORGAN in rule.terminals:
         if spec.living_donor_state is None:
@@ -374,7 +396,7 @@ def validate_model(spec: DiscreteModelSpec) -> DiscreteModelSpec:
         arr = getattr(spec, name)
         if arr is None:
             continue
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=float))
+        arr = np.ascontiguousarray(arr, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(spec, name, arr)
     return spec

@@ -115,12 +115,10 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
 
     def waits(u, declined):
         nonlocal saturated
-        m = problem.expect(exp_utility(1.0 + u, gamma),
-                           declined)          # expected utility given h'
-        ew = problem.carry(m)
+        # the expected utility given h', carried back one epoch
+        ew = problem.carry(problem.expect(exp_utility(1.0 + u, gamma), declined))
         saturated = saturated or bool((ew[:, live] >= 1.0 - 1e-16).any())
-        ew = np.clip(ew, 0.0, 1.0 - 1e-16)
-        return exp_utility_inverse(ew, gamma)
+        return exp_utility_inverse(np.clip(ew, 0.0, 1.0 - 1e-16), gamma)
 
     vf, policy = _solve(problem, waits, opts, stall_window=DIVERGENCE_WINDOW)
     if saturated:

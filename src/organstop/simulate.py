@@ -401,28 +401,39 @@ def _cell_dynamics(spec):
 
 
 def brute_force_optimal(spec: DiscreteModelSpec) -> tuple[np.ndarray, Policy]:
-    """Exact optimal values by enumerating every stationary policy.
+    """Exact optimal values, one linear system per stationary wait pattern.
 
-    Each candidate policy is evaluated by solving its linear fixed-point
-    system directly, so the result carries no iteration error; the optimal
-    value is the pointwise maximum and the returned policy attains it
-    everywhere.  Only meant for tiny models: at most 12 live cells and 3
-    actions per cell.  Policy j is the j-th of ``itertools.product`` over
-    the cells' legal actions, read from j in mixed radix; the systems are
-    gathered from the stacked dynamics and solved BRUTE_FORCE_CHUNK at a time.
+    A cell's classes are its wait actions and, if it has a terminal, one
+    terminal class: its best terminal reward and the zero row of every
+    terminal.  Under fixed waits, V = (I - beta P)^-1 r rises with r, the
+    inverse being a nonnegative Neumann series (Puterman 1994, 6.1), so the
+    best terminals win at every cell at once.  The optimal value is the
+    pointwise maximum of the directly solved systems, with no iteration
+    error, and the returned policy attains it everywhere.  Only meant for
+    tiny models: at most 12 live cells and 3 actions per cell.  Pattern j is
+    the j-th of ``itertools.product`` over the cells' classes, read from j
+    in mixed radix, solved BRUTE_FORCE_CHUNK at a time.
     """
     validate_model(spec)
     cells, acts_per_cell, rewards, rows = _cell_dynamics(spec)
-    counts = np.array([len(a) for a in acts_per_cell])
-    total, n = math.prod(counts.tolist()), len(cells)
-    strides = total // np.cumprod(counts)  # the last cell varies fastest
+    rule = VARIANT_RULES[spec.variant]
+    # waits come first; a slot's class goes by its action, not its row
+    terminal = {t.action for t in rule.terminals}
+    class_rewards, classes = rewards.copy(), []
+    for i, acts in enumerate(acts_per_cell):
+        w = sum(a not in terminal for a in acts)
+        if w < len(acts):
+            class_rewards[i, w] = rewards[i, w:len(acts)].max()
+        classes.append(w + (w < len(acts)))
+    classes = np.array(classes)
+    total, n = math.prod(classes.tolist()), len(cells)
+    strides = total // np.cumprod(classes)  # the last cell varies fastest
     best_vals = np.full(n, -np.inf)
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         index = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total))
-        slots = index[:, None] // strides % counts  # (policy, cell)
-        vals = np.linalg.solve(np.eye(n) - rows[np.arange(n), slots],
-                               rewards[np.arange(n), slots][:, :, None])[:, :, 0]
-        best_vals = np.maximum(best_vals, vals.max(axis=0))
+        pick = (np.arange(n), index[:, None] // strides % classes)  # (pattern, cell)
+        vals = np.linalg.solve(np.eye(n) - rows[pick], class_rewards[pick][:, :, None])
+        best_vals = np.maximum(best_vals, vals[:, :, 0].max(axis=0))
 
     # the pointwise maximum is attained by the policy that is greedy with
     # respect to it
@@ -431,7 +442,6 @@ def brute_force_optimal(spec: DiscreteModelSpec) -> tuple[np.ndarray, Policy]:
         qs = [rewards[i, j] + rows[i, j] @ best_vals for j in range(len(acts))]
         assign.append(acts[int(np.argmax(qs))])
 
-    rule = VARIANT_RULES[spec.variant]
     at = tuple(np.array(cells).T)
     values = np.zeros(rule.grid(spec))
     values[at] = best_vals

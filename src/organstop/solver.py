@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
             delta = first_delta
         else:
             x_next = step(x)
-            delta = float(np.abs(x_next - x).max())
+            delta = float(np.maximum.reduce(np.abs(x_next - x), axis=None))
             x = x_next
         if delta <= opts.tolerance:
             converged = True
@@ -87,7 +87,7 @@ def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
                 warnings.warn("recursion is not contracting; returning the "
                               "last iterate flagged non-converged")
                 break
-    residual = float(np.abs(step(x) - x).max())
+    residual = float(np.maximum.reduce(np.abs(step(x) - x), axis=None))
     return x, iterations, converged, residual
 
 
@@ -120,30 +120,24 @@ def _terminal_split(spec, terminals):
     in the no-offer column and the death row; and per patient state the
     best terminal legal without one, -inf where there is none."""
     rule = VARIANT_RULES[spec.variant]
-    _, H, C = rule.grid(spec)
-
-    def best(offered_only):
-        rewards = [np.broadcast_to(terminals[t.action], (H, C))
-                   for t in rule.terminals if t.offered_only == offered_only]
-        return reduce(np.maximum, rewards) if rewards else np.full((H, C), -np.inf)
-
-    off = np.array(best(True))
+    off, unc = np.full((2,) + rule.grid(spec)[1:], -np.inf)
+    for t in rule.terminals:
+        into = off if t.offered_only else unc
+        np.maximum(into, terminals[t.action], out=into)
     if rule.organ_axis:
         off[:, spec.no_offer_index] = -np.inf
     off[spec.death_index] = -np.inf
-    return off, best(False)[:, spec.no_offer_index if rule.organ_axis else 0]
+    return off, unc[:, spec.no_offer_index if rule.organ_axis else 0]
 
 
-def _decline(spec, waits, unc):
-    """u(g, h): regime g's best wait continuation or terminal legal without
-    an offer; zero at death."""
-    regimes = VARIANT_RULES[spec.variant].regimes
-    u = np.empty((len(regimes), len(unc)))
-    for row, regime in zip(u, regimes):
-        np.maximum(unc, waits[regime[0].regime], out=row)
-        for wait in regime[1:]:
-            np.maximum(row, waits[wait.regime], out=row)
-    u[:, spec.death_index] = 0.0
+def _decline(waits, reads, unc, death):
+    """u(g, h): the best of unc and regime g's wait values, read from the
+    flat ``waits`` at each of ``reads``; zero at death."""
+    flat = waits.ravel()
+    u = np.maximum(unc, flat[reads[0]])
+    for more in reads[1:]:
+        np.maximum(u, flat[more], out=u)
+    u[:, death] = 0.0
     return u
 
 
@@ -161,7 +155,9 @@ def _backup(spec, waits, terminals):
     robust and risk-sensitive solvers pass their own.
     """
     off, unc = _terminal_split(spec, terminals)
-    return _grid(spec, off, _decline(spec, waits, unc))
+    H = spec.n_patient
+    reads = VARIANT_RULES[spec.variant].wait_slots[0][:, :, None] * H + np.arange(H)
+    return _grid(spec, off, _decline(waits, reads, unc, spec.death_index))
 
 
 class _Continuation:
@@ -175,7 +171,8 @@ class _Continuation:
     S[h, j], F the prefix offer mass and S the suffix sum of K payoff(T_off)
     along the sorted row.  j comes from two ``searchsorted`` calls: one
     places u among all of T_off's values, one finds that global rank among
-    the row's keys h N + rank.  The stacked wait transitions are kept as
+    the row's keys h (N + 1) + rank, closed by h (N + 1) + N, which yields
+    the flat index h (C + 1) + j.  The stacked wait transitions are kept as
     their nonzero (rows, cols, data), rows and cols flat (regime, patient)
     indices, so one ``bincount`` carries every regime.
     """
@@ -183,39 +180,46 @@ class _Continuation:
     def __init__(self, spec: DiscreteModelSpec, terminals: dict,
                  payoff=lambda t: t):
         rule = VARIANT_RULES[spec.variant]
-        self.spec, self.terminals = spec, terminals
-        self.off, self.unc = _terminal_split(spec, terminals)
-        H, C = self.off.shape
+        self.spec, self.terminals, self.discount = spec, terminals, spec.discount
+        self.off, unc = _terminal_split(spec, terminals)
+        G, H, C = rule.grid(spec)
         n = H * C
-        order = np.argsort(self.off, axis=None, kind="stable")
-        self._values = self.off.ravel()[order]
-        # regroup the global order by row: each row ascending, keyed
-        # h n + (global position), so the keys are sorted too
-        by_row = np.argsort(order // C, kind="stable")
-        self._keys = np.repeat(n * np.arange(H), C) + by_row
-        flat = order[by_row]
-        del order, by_row
-        self._row_keys, self._rows = n * np.arange(H), np.arange(H)
+        values = self.off.ravel()
+        order = values.argsort(kind="stable")
+        self._values = values[order]
+        # row h's keys: h (n + 1) + its values' global ranks, ascending, + n
+        ranks = np.empty(n, dtype=np.intp)
+        ranks[order] = np.arange(n)
+        keys = np.full((H, C + 1), n)
+        keys[:, :C] = np.sort(ranks.reshape(H, C), axis=1)
+        flat = order[keys[:, :C]]
+        self._keys = (keys + np.arange(0, (n + 1) * H, n + 1)[:, None]).ravel()
         offer = spec.offer_prob if rule.organ_axis else np.ones((H, 1))
-        mass = offer.ravel()[flat].reshape(H, C)
-        rewards = self.off.ravel()[flat].reshape(H, C)
+        mass = offer.ravel()[flat]
+        rewards = values[flat]
         accepted = rewards > -np.inf
         terms = np.where(accepted, mass * payoff(np.where(accepted, rewards, 0.0)),
                          0.0)
-        self.prefix, self.suffix = np.zeros((H, C + 1)), np.zeros((H, C + 1))
-        np.cumsum(mass, axis=1, out=self.prefix[:, 1:])
-        self.suffix[:, :C] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-        self.prefix, self.suffix = self.prefix.ravel(), self.suffix.ravel()
+        tables = np.zeros((2, H, C + 1))
+        np.add.accumulate(mass, axis=1, out=tables[0, :, 1:])
+        np.add.accumulate(terms[:, ::-1], axis=1, out=tables[1, :, C - 1::-1])
+        self.prefix, self.suffix = tables.reshape(2, -1)
+        h = np.arange(G * H).reshape(G, H) % H
+        self._row_keys = (n + 1) * h
+        self.decline = partial(_decline, reads=tuple(
+            rule.wait_slots[0][:, :, None] * H + h), unc=unc[h],
+            death=spec.death_index)
         #: j = C in every row: the zero value grid, everything declined
-        self.everything_declined = np.arange(H) * (C + 1) + C
+        self.everything_declined = h * (C + 1) + C
         self.wait_reward, transitions = rule.wait_arrays(spec)
-        g, h, h_next = np.nonzero(transitions)
-        self._nonzero = (g * H + h, g * H + h_next, transitions[g, h, h_next])
+        nonzero = transitions.ravel().nonzero()[0]
+        rows, cols = np.divmod(nonzero, H)
+        self._nonzero = (rows, rows - rows % H + cols, transitions.ravel()[nonzero])
 
     def declined(self, u: np.ndarray) -> np.ndarray:
         """Flat (h, j(h)) index into the F and S tables, per regime."""
         r = self._values.searchsorted(u, side="right")
-        return self._keys.searchsorted(self._row_keys + r) + self._rows
+        return self._keys.searchsorted(self._row_keys + r)
 
     def expect(self, x, declined) -> np.ndarray:
         """x F[h, j] + S[h, j]: the offer expectation of payoff(V) for
@@ -231,29 +235,31 @@ class _Continuation:
     def nominal_waits(self, u, declined) -> np.ndarray:
         """w + beta P vbar for waiting into each regime: the nominal
         recursion."""
-        return self.wait_reward + self.spec.discount * self.carry(
+        return self.wait_reward + self.discount * self.carry(
             self.expect(u, declined))
 
 
 def _greedy(spec, waits, terminals, tie_break):
-    """Greedy policy for the same inputs as :func:`_backup`."""
+    """Greedy policy for the same inputs as :func:`_backup`: each cell takes
+    the first maximum of its actions ranked regime waits + terminals, or
+    terminals + regime waits under PREFER_TRANSPLANT."""
     rule = VARIANT_RULES[spec.variant]
-    grid = rule.grid(spec)
-    no_offer = rule.organ_axis and np.arange(grid[2]) == spec.no_offer_index
-    stop = [(t.action, np.where(no_offer & t.offered_only, -np.inf,
-                                terminals[t.action]))
-            for t in rule.terminals]
-    actions = np.empty(rule.value_shape(spec), dtype=np.int64)
-    for regime, chosen in zip(rule.regimes, actions.reshape(grid)):
-        stay = [(a.action, waits[a.regime][:, None]) for a in regime]
-        ranked = stop + stay if tie_break is TieBreak.PREFER_TRANSPLANT \
-            else stay + stop
-        values = np.stack([np.broadcast_to(v, grid[1:]) for _, v in ranked])
-        codes = np.array([int(a) for a, _ in ranked])
-        # argmax takes the first maximum: exact ties go to the earlier action
-        chosen[...] = codes[np.argmax(values, axis=0)]
-    actions.reshape(grid)[:, spec.death_index] = Action.NONE
-    return Policy(spec.variant, actions)
+    G, H, C = rule.grid(spec)
+    into, codes = rule.wait_slots
+    R = len(into)
+    ranked = np.empty((R + len(rule.terminals), G, H, C))
+    stay, stop = ((slice(None, R), slice(R, None)) if tie_break is
+                  TieBreak.PREFER_WAIT else (slice(-R, None), slice(None, -R)))
+    ranked[stay] = waits.take(into, axis=0)[..., None]
+    for value, t in zip(ranked[stop], rule.terminals):
+        value[...] = terminals[t.action]
+        if t.offered_only and rule.organ_axis:
+            value[..., spec.no_offer_index] = -np.inf
+    code = np.empty((len(ranked), G), dtype=np.int64)
+    code[stay], code[stop] = codes, [[t.action] for t in rule.terminals]
+    actions = code.ravel()[ranked.argmax(axis=0) * G + np.arange(G)[:, None, None]]
+    actions[:, spec.death_index] = Action.NONE
+    return Policy(spec.variant, actions.reshape(rule.value_shape(spec)))
 
 
 def _solve(problem, waits, opts, stall_window=None, discount=None):
@@ -264,23 +270,29 @@ def _solve(problem, waits, opts, stall_window=None, discount=None):
     regime, ``declined`` being :meth:`_Continuation.declined` of u.
     Iteration 1 steps from the zero value grid and is measured on the grid;
     after it, the grid's sup-norm step is max |u' - u| exactly, since the
-    no-offer column is u itself.  A ``discount`` gives the error bound
-    residual / (1 - discount).
+    no-offer column is u itself.  The greedy policy reads the wait values of
+    the step :func:`fixed_point` ends on, which is taken at the u it returns.
+    A ``discount`` gives the error bound residual / (1 - discount).
     """
     spec = problem.spec
-    zero = np.zeros((len(VARIANT_RULES[spec.variant].regimes), spec.n_patient))
-    u = _decline(spec, waits(zero, problem.everything_declined), problem.unc)
+    last = None
+
+    def step(u):
+        nonlocal last
+        last = waits(u, problem.declined(u))
+        return problem.decline(last)
+
+    u = problem.decline(waits(np.zeros(problem.everything_declined.shape),
+                              problem.everything_declined))
     u, iterations, converged, residual = fixed_point(
-        lambda u: _decline(spec, waits(u, problem.declined(u)), problem.unc),
-        u, opts, stall_window,
+        step, u, opts, stall_window,
         first_delta=float(np.max(np.abs(_grid(spec, problem.off, u)))))
     V = _grid(spec, problem.off, u)
     vf = ValueFunction(
         values=V, marginal=marginal_values(spec, V), residual=residual,
         iterations=iterations, converged=converged,
         error_bound=None if discount is None else residual / (1.0 - discount))
-    return vf, _greedy(spec, waits(u, problem.declined(u)), problem.terminals,
-                       opts.tie_break)
+    return vf, _greedy(spec, last, problem.terminals, opts.tie_break)
 
 
 def bellman_backup(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Reference brute force: the per-policy fill that the mixed-radix gather in
-``organstop.simulate.brute_force_optimal`` replaced, on dynamics of its own.
+"""Reference brute force: every stationary policy, one system each, on
+dynamics of its own.
 
-Each live cell's legal actions, rewards and next-cell rows are written here
-per variant from the spec's raw fields, apart from the library's variant
-table and stacked wait arrays.  Policies come from ``itertools.product``
-over each cell's legal action slots, ``batch`` at a time, and every
-policy's system ``I - P_pi`` and reward vector are filled one cell row at a
-time before one stacked solve.  The tests hold the library's values and
-policies to this, bit for bit.
+``organstop.simulate.brute_force_optimal`` solves one system per wait
+pattern, merging a cell's terminals into one class that pays the best of
+them; this reference does not merge anything.  Each live cell's legal
+actions, rewards and next-cell rows are written here per variant from the
+spec's raw fields, apart from the library's variant table and stacked wait
+arrays.  Policies come from ``itertools.product`` over each cell's legal
+action slots, ``batch`` at a time, and every policy's system ``I - P_pi``
+and reward vector are filled one cell row at a time before one stacked
+solve.  The tests hold the library's values and policies to this, bit for
+bit.
 """
 
 import itertools

@@ -6,7 +6,9 @@ the offers with ``(K * V).sum(-1)``, multiplies by the dense transition and
 patches the no-offer column regime by regime.  The robust and risk
 recursions pass their own wait values, as the library did.  The tests hold
 the library's iterations, flags and policies to this exactly and its
-numbers to a rounding tolerance.
+numbers to a rounding tolerance; the greedy read-back here is the
+per-regime stack-and-argmax that the library's single ranked argmax
+replaced.
 """
 
 import warnings
@@ -14,10 +16,10 @@ from functools import reduce
 
 import numpy as np
 
-from organstop.model import VARIANT_RULES, Action
+from organstop.model import VARIANT_RULES, Action, Policy
 from organstop.risk import _transplant_ce, exp_utility, exp_utility_inverse
 from organstop.robust import kl_worst_cases
-from organstop.solver import _greedy
+from organstop.solver import TieBreak
 
 
 def fixed_point(step, x0, opts, stall_window=None):
@@ -65,6 +67,29 @@ def _wait_values(spec, values):
             out[wait.action] = reward + spec.discount * (
                 transition @ vbar[wait.regime])
     return out
+
+
+def _greedy(spec, waits, terminals, tie_break):
+    """Per regime, stack the regime's waits and the legal terminals in tie
+    order and take the first argmax; death cells get NONE.  ``waits`` is
+    (G, H), row g the value of waiting into regime g."""
+    rule = VARIANT_RULES[spec.variant]
+    grid = rule.grid(spec)
+    no_offer = rule.organ_axis and np.arange(grid[2]) == spec.no_offer_index
+    stop = [(t.action, np.where(no_offer & t.offered_only, -np.inf,
+                                terminals[t.action]))
+            for t in rule.terminals]
+    actions = np.empty(rule.value_shape(spec), dtype=np.int64)
+    for regime, chosen in zip(rule.regimes, actions.reshape(grid)):
+        stay = [(a.action, waits[a.regime][:, None]) for a in regime]
+        ranked = stop + stay if tie_break is TieBreak.PREFER_TRANSPLANT \
+            else stay + stop
+        values = np.stack([np.broadcast_to(v, grid[1:]) for _, v in ranked])
+        codes = np.array([int(a) for a, _ in ranked])
+        # argmax takes the first maximum: exact ties go to the earlier action
+        chosen[...] = codes[np.argmax(values, axis=0)]
+    actions.reshape(grid)[:, spec.death_index] = Action.NONE
+    return Policy(spec.variant, actions)
 
 
 def _by_regime(spec, waits):

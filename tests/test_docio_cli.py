@@ -660,6 +660,33 @@ def test_cli_simulate_non_finite_estimate_exits_truncated(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze", "simulate"])
+def test_cli_refuses_a_model_whose_values_overflow(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(README_MODEL))
+    doc["model"]["wait_reward"] = [1.7e308, 1.7e308, 0.0]
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "out.json"
+    # tier-1 turns a RuntimeWarning into an error: none may escape
+    assert cli.main([command, "--input", inp, "--output", str(out)]) \
+        == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "wait_reward and transplant_reward" in err and "overflows" in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_solves_a_model_of_large_finite_values(tmp_path):
+    doc = json.loads(json.dumps(README_MODEL))
+    doc["model"]["wait_reward"] = [1e300, 1e300, 0.0]
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "solved.json"
+    assert cli.main(["solve", "--input", inp, "--output", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    solved = json.loads(out.read_text(), parse_constant=refuse)
+    assert solved["converged"] and max(map(max, solved["values"])) > 1e300
+
+
 def test_cli_continuous_fixed_instants(tmp_path):
     doc = {"continuous": {
         "offers": {"family": "finite", "values": [1.0, 0.5],

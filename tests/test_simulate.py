@@ -1,5 +1,6 @@
 """Monte Carlo estimator against solver values and closed forms."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from organstop import (
     Action,
@@ -35,7 +37,7 @@ from organstop import (
     validate_model,
 )
 from organstop import simulate
-from organstop.model import VARIANT_RULES
+from organstop.model import VARIANT_RULES, Action
 from organstop.simulate import trajectory_rng
 
 from helpers import random_base_spec, random_dialysis_spec, random_spec
@@ -147,6 +149,51 @@ def test_brute_force_matches_per_policy_reference(variant):
     ref_values, ref_actions = brute_force_reference(spec, batch=97)
     assert values.tobytes() == ref_values.tobytes()
     np.testing.assert_array_equal(np.asarray(policy.actions), ref_actions)
+
+
+def assert_brute_force_matches_reference(spec):
+    values, policy = brute_force_optimal(spec)
+    ref_values, ref_actions = brute_force_reference(spec, batch=97)
+    assert values.tobytes() == ref_values.tobytes()
+    np.testing.assert_array_equal(np.asarray(policy.actions), ref_actions)
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.DIALYSIS],
+                         ids=lambda v: v.value)
+def test_brute_force_keeps_a_sure_death_wait_a_wait(variant):
+    """A live state that dies surely has an all-zero wait row, like a
+    terminal's: its wait must still be enumerated as a wait."""
+    spec = random_spec(np.random.default_rng(18), variant, 2, 1)
+    trans = np.array(spec.transition)
+    trans[..., 0, :] = 0.0
+    trans[..., 0, spec.death_index] = 1.0
+    spec = validate_model(dataclasses.replace(spec, transition=trans))
+    rows = simulate._cell_dynamics(spec)[3]
+    assert not rows[0, 0].any()  # cell (0, 0, 0) waits into certain death
+    assert_brute_force_matches_reference(spec)
+
+
+def test_brute_force_ties_between_terminals_follow_the_reference():
+    spec = random_spec(np.random.default_rng(19), Variant.COMBINED, 3, 2)
+    reward = np.array(spec.transplant_reward)
+    # every offered organ pays what the living donor pays: exact ties
+    reward[:, :spec.no_offer_index] = reward[:, [spec.living_donor_state]]
+    spec = validate_model(dataclasses.replace(spec, transplant_reward=reward))
+    _, policy = brute_force_optimal(spec)
+    assert (np.asarray(policy.actions) == Action.TRANSPLANT).any()
+    assert_brute_force_matches_reference(spec)
+
+
+@given(st.sampled_from(list(Variant)), st.integers(0, 2**32 - 1),
+       st.integers(1, 6), st.integers(1, 5))
+def test_brute_force_matches_the_reference_on_small_specs(variant, seed,
+                                                          n_live, n_offered):
+    rule = VARIANT_RULES[variant]
+    G, _, C = rule.grid(random_spec(np.random.default_rng(0), variant, 1,
+                                    n_offered))
+    assume(G * n_live * C <= 6)
+    assert_brute_force_matches_reference(
+        random_spec(np.random.default_rng(seed), variant, n_live, n_offered))
 
 
 def test_seed_batches_have_consistent_variance():
