@@ -160,8 +160,10 @@ def cmd_analyze(args) -> int:
     raw = _load_json(args.input)
     if raw.get("kind") == "solve_results":
         spec, policy = _solved_policy(raw)
+        del raw
     else:
         doc = docio.parse_document(raw)
+        del raw
         _, policy = _solve_from_args(doc, args)
         spec = doc.spec
     report = analyze_policy(spec, policy)
@@ -201,17 +203,17 @@ def cmd_continuous(args) -> int:
     if cspec is None:
         print("error: document has no continuous section", file=sys.stderr)
         return EXIT_VALIDATION
-    if isinstance(cspec.arrivals, ctime.FixedInstants):
-        lam = ctime.finite_horizon_thresholds(cspec)
-        curve = ctime.ThresholdCurve(cspec.arrivals.times, lam)
-    elif isinstance(cspec.arrivals, ctime.RenewalArrivals):
-        curve = ctime.renewal_lambda(cspec, args.t_max, args.grid_step)
-    else:
-        try:
+    try:
+        if isinstance(cspec.arrivals, ctime.FixedInstants):
+            lam = ctime.finite_horizon_thresholds(cspec)
+            curve = ctime.ThresholdCurve(cspec.arrivals.times, lam)
+        elif isinstance(cspec.arrivals, ctime.RenewalArrivals):
+            curve = ctime.renewal_lambda(cspec, args.t_max, args.grid_step)
+        else:
             curve = ctime.poisson_lambda_ode(cspec, args.t_max, args.grid_step)
-        except ctime.StiffnessError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_TRUNCATED
+    except ctime.StiffnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRUNCATED
     if not np.isfinite(curve.values).all():
         print("error: the threshold curve has non-finite values",
               file=sys.stderr)
@@ -258,19 +260,21 @@ def cmd_plot(args) -> int:
     raw = _load_json(args.input)
     kind = raw.get("kind")
     if kind == "solve_results":
-        svg = render_region_svg(_solved_policy(raw)[1].actions)
+        actions = _solved_policy(raw)[1].actions
     elif kind == "structure_results":
         # no model to fit: a grid of action codes is all that can be checked
         actions = _policy_codes(raw)
         if actions.ndim != 2 or not np.isin(actions, list(Action)).all():
             raise docio.DocumentError(
                 "$.policy", "expected a 2-D array of action codes")
-        svg = render_region_svg(actions)
     elif kind == "curve_results":
-        svg = render_curve_svg(*_curve_points(raw))
+        points = _curve_points(raw)
     else:
         print(f"error: unknown document kind {kind!r}", file=sys.stderr)
         return EXIT_USAGE
+    del raw
+    svg = (render_curve_svg(*points) if kind == "curve_results"
+           else render_region_svg(actions))
     with open(args.output, "w") as fh:
         fh.write(svg)
     return EXIT_OK

@@ -472,7 +472,8 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
     Gbar(s | t) * E[max(beta(t+s) X, lambda(t+s))] dH(s), where an arrival
     after the last grid time contributes 0 (see :class:`ThresholdCurve`), so
     lambda is 0 at t_max.  Under an IFR lifetime the returned curve is
-    nonincreasing.
+    nonincreasing.  A grid time whose fixed point does not settle within
+    1e-13 in 100 iterations raises :class:`StiffnessError`.
     """
     if not isinstance(spec.arrivals, RenewalArrivals):
         raise ValueError("renewal_lambda requires renewal arrivals")
@@ -516,10 +517,14 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
             lam[i] = guess
             new = float(np.sum(weights * w_at(u, lam, beta_u)))
             if abs(new - guess) <= 1e-13:
-                guess = new
                 break
             guess = new
-        lam[i] = guess
+        else:
+            raise StiffnessError(
+                f"renewal fixed point at t = {t:g} not within 1e-13 after "
+                f"100 iterations; the interarrival gap is too short for "
+                f"step {step:g}")
+        lam[i] = new
     return ThresholdCurve(times, lam, truncated=truncated)
 
 
@@ -536,7 +541,9 @@ def _interarrival_horizon(inter):
 # nonhomogeneous Poisson arrivals
 
 class StiffnessError(RuntimeError):
-    """Failure rate too large for the step integrator."""
+    """The time-grid step is too coarse for the model: a failure rate too
+    large for the ODE's integrator, or a renewal fixed point that does not
+    settle."""
 
 
 def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,

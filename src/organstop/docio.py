@@ -15,6 +15,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -295,20 +296,54 @@ def parse_document(doc: dict, path: str = "$") -> ModelDocument:
     return out
 
 
+_SAMPLE_WINDOWS, _SAMPLE_CHARS = 64, 4096
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+class _Converted(dict):
+    """Number text -> its value; each distinct text is converted once, and
+    lookups of a text seen before stay in C."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, text):
+        value = self[text] = self.convert(text)
+        return value
+
+
+def _mostly_repeats(text: str) -> bool:
+    """Whether at least half the number texts in evenly spaced windows of
+    ``text`` repeat one seen before in them."""
+    step = max(_SAMPLE_CHARS, -(-len(text) // _SAMPLE_WINDOWS))
+    sample = [number for start in range(0, len(text), step)
+              for number in _NUMBER.findall(text, start, start + _SAMPLE_CHARS)]
+    return bool(sample) and 2 * len(set(sample)) <= len(sample)
+
+
 def load_json(path: str) -> dict:
     """The JSON object in ``path``.  Documents are acyclic trees, so the
     cyclic collector, whose scans grow with every list the parser makes, is
-    paused while it runs."""
+    paused while it runs.  When a sample of the text is mostly repeated
+    numbers, as in a densely written banded model, each distinct number
+    text becomes one shared Python number, so the tree's size follows the
+    distinct numbers; otherwise the lookups would only cost."""
     with open(path) as fh:
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("$", f"not valid JSON: {exc}") from None
-        finally:
-            if collecting:
-                gc.enable()
+        text = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if _mostly_repeats(text):
+            raw = json.loads(text, parse_float=_Converted(float).__getitem__,
+                             parse_int=_Converted(int).__getitem__)
+        else:
+            raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError("$", f"not valid JSON: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(raw, dict):
         raise DocumentError("$", "document root must be an object")
     return raw
@@ -324,8 +359,9 @@ def load_document(path: str) -> ModelDocument:
 # Each results document is defined once, with its arrays as ndarrays; the
 # CLI writes that form, and the public builders return its ``json_data``.
 # ``dump_document`` writes an array as text straight from the ndarray: each
-# distinct value is rounded and formatted once, a gather gives every element
-# its text, and texts and separators go through one join.
+# distinct value is rounded and formatted once; then, a block of
+# leading-axis rows at a time, a gather gives each element its text, and the
+# block's texts and separators go through one join.
 
 def _round_sig(x: float) -> float:
     return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
@@ -333,32 +369,42 @@ def _round_sig(x: float) -> float:
 
 def _distinct(a: np.ndarray):
     """The distinct values of a bool, integer or float array as JSON data,
-    floats rounded, and the index of each element's value among them.
+    floats rounded, and a function giving the index among them of each
+    element of the C-order slice ``lo:hi``.
 
     Arrays in result documents hold few distinct values (a 2001-state
-    transition matrix about 12 000 in 4 million); below 64 elements
-    np.unique costs more than it saves.
+    transition matrix about 12 000 in 4 million).  The values come from
+    one sort; the indices are found a slice at a time, so their work space
+    follows the slice, not the array.
     """
     floats = a.dtype.kind == "f"
     flat = np.ascontiguousarray(a, dtype=np.float64 if floats else None).ravel()
-    inverse = np.arange(flat.size)
-    if flat.size >= 64:
-        # unique by bit pattern: keeps -0.0 apart from 0.0; asking for the
-        # (unused) first indices makes numpy sort stably, which is several
-        # times faster on the long runs of equal values these arrays hold
-        keys, _, inverse = np.unique(flat.view(np.uint64) if floats else flat,
-                                     return_index=True, return_inverse=True)
-        flat = keys.view(np.float64) if floats else keys
-    values = flat.tolist()
-    return [_round_sig(x) for x in values] if floats else values, inverse
+    if floats:   # unique by bit pattern: keeps -0.0 apart from 0.0
+        flat = flat.view(np.uint64)
+    keys = np.sort(flat)   # np.unique(flat) hashes: far slower when distinct
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+
+    def index(lo, hi):
+        # asking for the (unused) first indices makes numpy sort stably,
+        # which is several times faster on the long runs of equal values
+        # these arrays hold
+        block, _, inverse = np.unique(flat[lo:hi], return_index=True,
+                                      return_inverse=True)
+        return np.searchsorted(keys, block)[inverse]
+
+    values = (keys.view(np.float64) if floats else keys).tolist()
+    return [_round_sig(x) for x in values] if floats else values, index
 
 
 def _array_data(a: np.ndarray):
     """``json_data(a.tolist())`` a whole array at a time."""
     if a.dtype.kind != "f":
         return a.tolist() if a.dtype.kind in "biu" else json_data(a.tolist())
-    values, inverse = _distinct(a)
-    return np.array(values, dtype=object)[inverse].reshape(a.shape).tolist()
+    values, index = _distinct(a)
+    return np.array(values, dtype=object)[index(0, a.size)].reshape(
+        a.shape).tolist()
 
 
 def json_data(obj):
@@ -386,10 +432,13 @@ def _encoded(items: list) -> list[str]:
         if items else []
 
 
-def _texts(a: np.ndarray) -> list[str]:
-    """The JSON text of every element of a bool, integer or float array."""
-    values, inverse = _distinct(a)
-    return np.array(_encoded(values), dtype=object)[inverse].tolist()
+def _texts(a: np.ndarray):
+    """A function giving the JSON texts of the elements ``lo:hi``, in C
+    order, of a bool, integer or float array, each distinct value's text
+    made once."""
+    values, index = _distinct(a)
+    table = np.array(_encoded(values), dtype=object)
+    return lambda lo, hi: table[index(lo, hi)].tolist()
 
 
 def _joined(texts: list[str], seps: list[str]) -> str:
@@ -413,19 +462,34 @@ def _layout(m: int, level: int):
     return "[" + "".join(pad[d] + "[" for d in range(1, m)) + pad[m], after
 
 
-def _laid_out(texts: list[str], shape: tuple, level: int) -> str:
-    """The array of ``shape`` whose elements, in C order, have these
-    ``texts``, as ``json.dumps(indent=2)`` lays it out at nesting ``level``."""
+_BLOCK = 1 << 16   # elements written per piece, at least one leading row
+
+
+def _laid_out(texts, shape: tuple, level: int):
+    """The array of ``shape`` whose elements ``lo:hi``, in C order, have the
+    texts ``texts(lo, hi)``, as ``json.dumps(indent=2)`` lays it out at
+    nesting ``level``: in pieces of whole leading-axis rows, about _BLOCK
+    elements each, so no piece grows with the array."""
     if 0 in shape:   # the first empty axis ends the nesting
-        shape = shape[:shape.index(0)]
-        texts = ["[]"] * math.prod(shape)
+        yield from _laid_out(lambda lo, hi: ["[]"] * (hi - lo),
+                             shape[:shape.index(0)], level)
+        return
     if not shape:
-        return texts[0]
+        yield texts(0, 1)[0]
+        return
     head, after = _layout(len(shape), level)
-    seps = np.empty(shape, dtype=object)
-    for r, sep in enumerate(after):   # after the last element of r last axes
-        seps[(...,) + (-1,) * r] = sep
-    return head + _joined(texts, seps.ravel().tolist())
+    row = np.empty(shape[1:], dtype=object)   # after each element of a row
+    for r, sep in enumerate(after[:-1]):      # but the last row's last
+        row[(...,) + (-1,) * r] = sep
+    row = row.ravel().tolist()
+    rows = max(1, _BLOCK // len(row))
+    yield head
+    for start in range(0, shape[0], rows):
+        stop = min(start + rows, shape[0])
+        seps = row * (stop - start)
+        if stop == shape[0]:
+            seps[-1] = after[-1]
+        yield _joined(texts(start * len(row), stop * len(row)), seps)
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -440,7 +504,7 @@ def _chunks(obj, level: int = 0):
     JSON data whose leaves may also be ndarrays and numpy scalars, written
     as :func:`json_data` turns them into JSON data."""
     if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf":
-        yield _laid_out(_texts(obj), obj.shape, level)
+        yield from _laid_out(_texts(obj), obj.shape, level)
         return
     if isinstance(obj, np.ndarray):
         obj = json_data(obj)
@@ -450,8 +514,10 @@ def _chunks(obj, level: int = 0):
                 and len(set(map(len, obj))) == 1)
         flat = list(itertools.chain.from_iterable(obj)) if rows else obj
         if _all_scalars(flat):
-            yield _laid_out(_encoded(flat), (len(obj), len(obj[0])) if rows
-                            else (len(obj),), level)
+            texts = _encoded(flat)
+            yield from _laid_out(lambda lo, hi: texts[lo:hi],
+                                 (len(obj), len(obj[0])) if rows
+                                 else (len(obj),), level)
             return
     outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
@@ -601,16 +667,17 @@ def dump_document(doc: dict, path: str) -> None:
 # CSV exports
 
 def write_region_csv(path: str, regions) -> None:
-    """Region grid as rows (h, k, action, region_id)."""
-    cells = np.concatenate([np.empty((0, 2), np.int64)]
-                           + [r.cells for r in regions])
-    tails = np.array([f",{r.action},{rid}\r\n"
-                      for rid, r in enumerate(regions)], dtype=object)
-    seps = np.full((len(cells), 2), ",", dtype=object)
-    seps[:, 1] = np.repeat(tails, [len(r.cells) for r in regions])
+    """Region grid as rows (h, k, action, region_id), written about _BLOCK
+    numbers at a time."""
+    step = 2 * max(1, _BLOCK // 2)   # whole rows of two numbers
     with open(path, "w", newline="") as fh:
         fh.write("h,k,action,region_id\r\n")
-        fh.write(_joined(_texts(cells), seps.ravel().tolist()))
+        for rid, region in enumerate(regions):
+            texts = _texts(region.cells)
+            seps = [",", f",{region.action},{rid}\r\n"]
+            for lo in range(0, region.cells.size, step):
+                hi = min(lo + step, region.cells.size)
+                fh.write(_joined(texts(lo, hi), seps * ((hi - lo) // 2)))
 
 
 def write_curve_csv(path: str, curve) -> None:

@@ -95,9 +95,14 @@ def kl_worst_cases(nominal: np.ndarray, values: np.ndarray,
     q_t, r_t = q[t], r[t]
     gaps = np.where(support, v - vmin[:, None], 0.0)[t]  # shifted by the minimum
     mean = (q_t * gaps).sum(axis=1)
-    var = (q_t * (gaps - mean[:, None]) ** 2).sum(axis=1)
+    # each row's deviations on a power-of-two scale 2^k (exact), so gaps
+    # near 1e300 keep a finite square; k = 0 for ordinary rows
+    dev = gaps - mean[:, None]
+    k = np.maximum(0, np.frexp(np.abs(dev).max(axis=1))[1] - 500)
+    var = (q_t * np.ldexp(dev, -k[:, None]) ** 2).sum(axis=1)
     # start at the small-radius asymptote KL ~ Var_q(gaps) / (2 theta^2)
-    s = 0.5 * (np.log(np.maximum(var, 1e-300)) - np.log(2.0 * r_t))
+    s = 0.5 * (np.log(np.maximum(var, 1e-300)) + 2 * k * np.log(2.0)
+               - np.log(2.0 * r_t))
     lo, hi, live = np.full(len(t), -np.inf), np.full(len(t), np.inf), np.arange(len(t))
     for _ in range(KL_MAX_STEPS):
         if not len(live):

@@ -563,6 +563,14 @@ def _check_seed(seed):
 
 def _estimate(rewards, truncated=0):
     n = len(rewards)
-    return EvalEstimate(mean=float(rewards.mean()),
-                        std_error=float(rewards.std(ddof=1) / math.sqrt(n)),
+    mean = rewards.mean()
+    deviations = rewards - mean
+    # squared in place on a power-of-two scale (exact), so deviations near
+    # 1e300 keep a finite square; ordinary ones keep scale 1, numpy's std
+    # bits and its one array of work space
+    largest = max(deviations.max(), -deviations.min())
+    scale = 2.0 ** max(0, math.frexp(largest)[1] - 500)
+    deviations /= scale
+    std = np.sqrt(np.square(deviations, out=deviations).sum() / (n - 1)) * scale
+    return EvalEstimate(mean=float(mean), std_error=float(std / math.sqrt(n)),
                         n=n, truncated=truncated)

@@ -300,6 +300,18 @@ def test_renewal_deterministic_gap_shorter_than_the_step():
     assert curve.values[0] == pytest.approx(limit, abs=1e-3)
 
 
+def test_renewal_fixed_point_that_does_not_settle_raises():
+    # a gap of 1e-4 in a step of 0.1 leaves the fixed point a contraction
+    # too weak to settle in 100 iterations: raise, naming the grid time
+    spec = ContinuousModelSpec(
+        offers=UniformOffers(0.0, 1.0),
+        arrivals=RenewalArrivals(DeterministicInterarrival(1e-4)),
+        lifetime=exponential_lifetime(0.5),
+    )
+    with pytest.raises(StiffnessError, match=r"at t = 0\.9 "):
+        renewal_lambda(spec, t_max=1.0, step=0.1)
+
+
 def test_ode_plateau_at_quadratic_root():
     # failure rate r = mu/2 balances at lambda^2 - 3 lambda + 1 = 0
     spec = ContinuousModelSpec(

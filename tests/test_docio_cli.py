@@ -3,9 +3,13 @@
 import dataclasses
 import gc
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -542,9 +546,9 @@ def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     during = []
-    load = json.load
-    monkeypatch.setattr(json, "load",
-                        lambda fh: during.append(gc.isenabled()) or load(fh))
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: during.append(
+        gc.isenabled()) or loads(text, **kw))
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
@@ -556,6 +560,110 @@ def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
     finally:
         (gc.enable if was else gc.disable)()
     assert during == [False, False]
+
+
+# number texts json.dumps never writes: an overflow to inf, exponent forms,
+# a negative integer zero, an integer past 64 bits
+RAW_NUMBERS = ["1e999", "-1e999", "1E+2", "0e0", "-0", "2.5e-310",
+               "123456789012345678901234567890"]
+number_leaves = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310,
+                     1e308, -1e308, 0.1, 1.0, float("nan"), float("inf")]),
+    st.floats(allow_nan=True), st.integers(-(2**70), 2**70),
+    st.sampled_from(RAW_NUMBERS).map(lambda text: f"<{text}>"),
+    st.booleans(), st.none(), st.text(alphabet="0.1e-a", max_size=4))
+json_trees = st.recursive(
+    number_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.dictionaries(st.text("abc", max_size=3),
+                                            inner, max_size=4)),
+    max_leaves=40)
+
+
+def same_tree(a, b) -> bool:
+    """Equal values of equal types: repr tells 1 from 1.0 and -0.0 from 0.0,
+    and writes every float exactly."""
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("repeats", [True, False])
+@given(tree=json_trees)
+def test_load_json_reads_the_tree_json_load_reads(tmp_path_factory, repeats,
+                                                  tree):
+    text = re.sub(r'"<([^>]*)>"', r"\1", json.dumps({"doc": tree}))
+    path = tmp_path_factory.mktemp("load") / "doc.json"
+    path.write_text(text)
+    with mock.patch.object(docio, "_mostly_repeats", lambda _: repeats):
+        assert same_tree(docio.load_json(str(path)), json.loads(text))
+
+
+def test_load_json_reads_every_document_the_cli_writes(tmp_path):
+    model = write_doc(tmp_path, README_MODEL)
+    ct = write_doc(tmp_path, {"continuous": _GOOD_CONTINUOUS}, "ct.json")
+    spec = banded_spec(random_base_spec(np.random.default_rng(5), n_live=40))
+    banded = write_doc(tmp_path, {"model": {
+        **docio.model_section(spec),
+        "transition": docio.json_data(spec.transition)}}, "banded.json")
+    solved = str(tmp_path / "solved.json")
+    for argv in (["solve", "--input", model, "--output", solved],
+                 ["analyze", "--input", solved, "--output",
+                  str(tmp_path / "analysis.json")],
+                 ["simulate", "--input", model, "--output",
+                  str(tmp_path / "sim.json"), "--trajectories", "100"],
+                 ["continuous", "--input", ct, "--output",
+                  str(tmp_path / "curve.json"), "--t-max", "40",
+                  "--grid-step", "0.5"]):
+        assert cli.main(argv) == cli.EXIT_OK
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        with open(path) as fh:
+            assert same_tree(docio.load_json(str(path)), json.load(fh)), path
+    with open(banded) as fh:
+        assert docio._mostly_repeats(fh.read())
+
+
+def banded_text(n: int) -> str:
+    """A dense ``n`` x ``n`` banded matrix of few distinct values, as JSON."""
+    rng = np.random.default_rng(n)
+    dense = np.zeros((n, n))
+    for offset in range(4):
+        np.fill_diagonal(dense[:, offset:], rng.integers(1, 50, n) / 200.0)
+    return json.dumps({"transition": dense.tolist()})
+
+
+def test_load_json_shares_each_repeated_number(tmp_path):
+    path = tmp_path / "banded.json"
+    path.write_text(banded_text(50))
+    rows = docio.load_json(str(path))["transition"]
+    assert rows[0][-1] is rows[-1][0] == 0.0
+    assert len({id(x) for row in rows for x in row}) == \
+        len({(x, math.copysign(1, x)) for row in rows for x in row})
+    distinct = np.random.default_rng(0).random((40, 40))
+    assert docio._mostly_repeats(path.read_text())
+    assert not docio._mostly_repeats(json.dumps(distinct.tolist()))
+    assert not docio._mostly_repeats('{"kind": "no numbers"}')
+
+
+def test_load_json_peaks_at_half_the_memory_of_json_load(tmp_path):
+    # a dense banded model is almost all repeated numbers: one shared
+    # object each, where json.load makes one per element
+    path = tmp_path / "banded.json"
+    path.write_text(banded_text(600))
+    def plain():
+        with open(path) as fh:
+            return json.load(fh)
+    peaks = []
+    for load in (plain, lambda: docio.load_json(str(path))):
+        tracemalloc.start()
+        try:
+            tree = load()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(tree["transition"]) == 600
+        del tree
+    assert peaks[1] <= peaks[0] / 2, peaks
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -685,6 +793,22 @@ def test_cli_solves_a_model_of_large_finite_values(tmp_path):
         raise ValueError(f"non-standard JSON constant {name}")
     solved = json.loads(out.read_text(), parse_constant=refuse)
     assert solved["converged"] and max(map(max, solved["values"])) > 1e300
+
+
+def test_cli_simulates_a_model_of_large_finite_values(tmp_path):
+    # rewards near 1e300 square past the float range; their deviations,
+    # scaled by a power of two, do not
+    doc = json.loads(json.dumps(README_MODEL))
+    doc["model"]["wait_reward"] = [1e300, 1e300, 0.0]
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--input", inp, "--output", str(out),
+                     "--trajectories", "100"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    sim = json.loads(out.read_text(), parse_constant=refuse)
+    assert sim["std_error"] > 0 and sim["ci_low"] <= sim["mean"] <= sim["ci_high"]
 
 
 def test_cli_continuous_fixed_instants(tmp_path):
@@ -841,6 +965,21 @@ def test_cli_documents_write_json_booleans(tmp_path):
              c["nonincreasing"]]
     assert all(type(flag) is bool for flag in flags)
     assert s["converged"] and c["nonincreasing"] and not c["truncated"]
+
+
+def test_cli_continuous_renewal_that_does_not_settle_exits_truncated(
+        tmp_path, capsys):
+    inp = write_doc(tmp_path, {"continuous": {
+        "offers": {"family": "uniform", "low": 0.0, "high": 1.0},
+        "arrivals": {"kind": "renewal", "interarrival":
+                     {"family": "deterministic", "gap": 1e-4}},
+        "lifetime": {"family": "exponential", "rate": 0.5}}})
+    out = tmp_path / "curve.json"
+    assert cli.main(["continuous", "--input", inp, "--output", str(out),
+                     "--t-max", "1", "--grid-step", "0.1"]) \
+        == cli.EXIT_TRUNCATED
+    assert "renewal fixed point at t = 0.9 " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_and_discrete_solve_load_no_scipy(tmp_path):

@@ -1,5 +1,7 @@
 """KL worst-case oracle checks and robust-vs-myopic dominance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,22 @@ def test_robust_values_below_nominal_and_falling_in_radius(seed, n_live, radii):
         vf, _ = robust_value_iteration(spec, amb, opts)
         assert np.all(vf.values <= prev.values + 1e-8)
         prev = vf
+
+
+def test_robust_solves_rewards_near_the_float_range():
+    # gaps near 1e300 square past the float range; the KL start squares
+    # them on a power-of-two scale, which changes no tilt
+    spec = random_living_donor_spec(np.random.default_rng(3), 4)
+    big = dataclasses.replace(spec, wait_reward=spec.wait_reward * 1e300,
+                              transplant_reward=spec.transplant_reward * 1e300)
+    for radius in (0.05, 0.3):
+        amb = AmbiguitySpec(np.full(spec.n_patient, radius))
+        vf, pol = robust_value_iteration(big, amb,
+                                         SolveOptions(tolerance=1e-8 * 1e300))
+        ref, ref_pol = robust_value_iteration(spec, amb)
+        assert vf.converged
+        np.testing.assert_allclose(vf.values / 1e300, ref.values, atol=1e-7)
+        np.testing.assert_array_equal(pol.actions, ref_pol.actions)
 
 
 def test_compare_robust_myopic_report():

@@ -7,6 +7,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -150,6 +151,43 @@ def test_all_distinct_values_match_reference(tmp_path):
     doc = {"values": rng.standard_normal((30, 40)) * 10.0 ** rng.integers(
         -30, 30, size=(30, 40)), "ints": rng.integers(-2**62, 2**62, 500)}
     assert written(tmp_path, docio.json_data(doc)) == ref.document_text(doc)
+
+
+BLOCKED_ARRAYS = {
+    "1d": np.arange(11) % 4 * 0.25,
+    "2d": np.round(np.random.default_rng(1).standard_normal((7, 3)), 1),
+    "3d": np.arange(24).reshape(4, 3, 2) % 5 - 2,
+    "bools": np.arange(10).reshape(5, 2) % 3 == 0,
+    "rows_fill_blocks": np.full((6, 4), -0.0),
+    "empty_middle": np.zeros((5, 0, 2)),
+    "empty_first": np.zeros((0, 3)),
+    "scalar": np.array(1.5),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 8, 1 << 16])
+def test_dump_document_in_blocks_is_json_dump(tmp_path, monkeypatch, block):
+    # block 8 takes two rows of "rows_fill_blocks" a time, so its last block
+    # ends on the last row; block 1 still takes whole rows
+    monkeypatch.setattr(docio, "_BLOCK", block)
+    doc = {**BLOCKED_ARRAYS, "nested": [BLOCKED_ARRAYS["3d"], {"a": 1}],
+           "rows": [[0.5, 1], [2, 0.5], [0.5, 3]]}
+    assert written(tmp_path, doc) == \
+        json.dumps(docio.json_data(doc), indent=2) + "\n"
+    regions = [Region(1, np.arange(22).reshape(11, 2)),
+               Region(2, np.empty((0, 2), np.int64)),
+               Region(3, np.arange(16).reshape(8, 2) % 7)]
+    docio.write_region_csv(str(tmp_path / "regions.csv"), regions)
+    assert (tmp_path / "regions.csv").read_bytes().decode() == \
+        ref.region_csv_text(regions)
+
+
+def test_dump_document_writes_arrays_larger_than_a_block(tmp_path):
+    rng = np.random.default_rng(2)
+    doc = {"rows": np.round(rng.random((301, 300)), 2),   # rows end a block
+           "flat": rng.integers(-5, 5, 3 * docio._BLOCK + 7)}
+    assert written(tmp_path, doc) == \
+        json.dumps(docio.json_data(doc), indent=2) + "\n"
 
 
 def test_result_documents_are_json_data(tmp_path):
