@@ -91,6 +91,9 @@ class UniformOffers(OfferDistribution):
     def __post_init__(self):
         if not (0 <= self.low < self.high < math.inf):
             raise ValueError("uniform offers need 0 <= low < high < inf")
+        if self.high - self.low > math.sqrt(np.finfo(float).max):
+            raise ValueError(f"uniform offer width {self.high - self.low:.3g} "
+                             "has no finite square")
 
     @property
     def lower(self):
@@ -216,11 +219,16 @@ class ErlangLifetime(LifetimeDistribution):
 
     def _poisson_terms(self, t):
         """x, the last term x^(k-1)/(k-1)! and the partial sum S at t."""
-        x = self.rate * np.asarray(t, dtype=float)
-        term = total = np.ones_like(x)
-        for j in range(1, self.shape):
-            term = term * x / j
-            total = total + term
+        try:
+            with np.errstate(over="raise"):
+                x = self.rate * np.asarray(t, dtype=float)
+                term = total = np.ones_like(x)
+                for j in range(1, self.shape):
+                    term = term * x / j
+                    total = total + term
+        except FloatingPointError:
+            raise ValueError(f"lifetime rate {self.rate:.3g} overflows the "
+                             f"Poisson terms at t={np.max(t):.6g}") from None
         return x, term, total
 
     def survival(self, t):
@@ -541,9 +549,9 @@ def _interarrival_horizon(inter):
 # nonhomogeneous Poisson arrivals
 
 class StiffnessError(RuntimeError):
-    """The time-grid step is too coarse for the model: a failure rate too
-    large for the ODE's integrator, or a renewal fixed point that does not
-    settle."""
+    """The time-grid step is too coarse for the model: a failure or arrival
+    rate too large for the ODE's integrator, or a renewal fixed point that
+    does not settle."""
 
 
 def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
@@ -553,8 +561,8 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
     lambda'(t) = r(t) lambda(t) - beta(t) mu(t) E[(X - lambda(t)/beta(t))+],
     solved with classical fourth-order steps; each grid interval is
     subdivided until the step-doubling error estimate is below 1e-8.  A
-    failure rate above 1e6, a non-finite error estimate or 1024 substeps
-    raise :class:`StiffnessError`.
+    failure or arrival rate above 1e6, a non-finite error estimate or 1024
+    substeps raise :class:`StiffnessError`.
     """
     arrivals = spec.arrivals
     if isinstance(arrivals, PoissonArrivals):
@@ -567,16 +575,18 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
     truncated = lifetime.survival(t_max) > TRUNCATION_SURVIVAL
 
     def coefficients(nodes):
-        """r, mu and beta at each node, once; the stiffness guard on r."""
-        r = np.asarray(lifetime.failure_rate(nodes), dtype=float)
-        bad = ~np.isfinite(r) | (r > 1e6)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise StiffnessError(f"failure rate {r[i]:.3g} at t={nodes[i]:.6g} "
-                                 "exceeds 1e6")
+        """r, mu and beta at each node, once; the stiffness guard on r and mu."""
         ts = nodes.tolist()
-        return (r.tolist(), [rate_fn(u) for u in ts],
-                [spec.discount_fn(u) for u in ts])
+        r = np.asarray(lifetime.failure_rate(nodes), dtype=float)
+        mu = np.array([rate_fn(u) for u in ts], dtype=float)
+        # a NaN arrival rate is left to the non-finite step error below
+        for what, rate, bad in (("failure", r, ~np.isfinite(r) | (r > 1e6)),
+                                ("arrival", mu, mu > 1e6)):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise StiffnessError(f"{what} rate {rate[i]:.3g} at "
+                                     f"t={nodes[i]:.6g} exceeds 1e6")
+        return r.tolist(), mu.tolist(), [spec.discount_fn(u) for u in ts]
 
     def rhs(i, lam):
         # beta * psi(lam / beta) = E[max(beta X, lam)] - lam

@@ -1,8 +1,10 @@
 """Risk-sensitive certainty-equivalent value iteration.
 
 Risk-averse patients maximize expected exponential utility of lifetime;
-rewards are measured in epochs alive (one unit per epoch waited), so the
-recursion is undiscounted and convergence relies on death being reached.
+rewards are measured in epochs alive (one unit per epoch waited), so both
+recursions here are undiscounted and converge only if death is reached:
+:func:`organstop.solver._solve` stops either on a stalled step, with a
+warning, and flags it non-converged.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .model import (
     validate_model,
 )
 from .solver import SolveOptions, _Continuation, _solve
-
-#: iterations without residual improvement before declaring divergence
-DIVERGENCE_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,15 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
                                    ) -> tuple[ValueFunction, Policy]:
     """Fixed point of the certainty-equivalent recursion.
 
-    The recursion is undiscounted; divergence (residual failing to decrease
-    over a long window) is flagged via ``converged=False`` together with a
-    warning rather than an exception.
+    Divergence is flagged via ``converged=False`` and a warning rather than
+    an exception: a stalled step, or a wait-value expected utility so near 1
+    that one more epoch alive no longer moves it (the iterate freezes).
     """
     validate_model(spec)
     _check_2d(spec)
     gamma = risk.risk_coefficient
     live = spec.live_patients()
+    epoch = exp_utility(1.0, gamma)  # an epoch more: ew -> ew + (1 - ew) epoch
     saturated = False
     # utility is increasing: the organs declined at u are those whose
     # utility of 1 + T is at most u's, so the offer average splits alike
@@ -117,10 +117,11 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
         nonlocal saturated
         # the expected utility given h', carried back one epoch
         ew = problem.carry(problem.expect(exp_utility(1.0 + u, gamma), declined))
-        saturated = saturated or bool((ew[:, live] >= 1.0 - 1e-16).any())
+        # an epoch's gain below the float spacing under 1 is no move at all
+        saturated = saturated or bool(((1.0 - ew[:, live]) * epoch <= 2**-53).any())
         return exp_utility_inverse(np.clip(ew, 0.0, 1.0 - 1e-16), gamma)
 
-    vf, policy = _solve(problem, waits, opts, stall_window=DIVERGENCE_WINDOW)
+    vf, policy = _solve(problem, waits, opts)
     if saturated:
         warnings.warn("wait-value expected utility saturated at 1; the "
                       "recursion likely diverges (is death reachable?)")
@@ -133,7 +134,8 @@ def lifetime_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
                              ) -> tuple[ValueFunction, Policy]:
     """Risk-neutral counterpart: maximize expected lifetime in epochs.
 
-    Serves as the gamma -> 0 reference for the risk-sensitive solver.
+    Serves as the gamma -> 0 reference for the risk-sensitive solver; a
+    stalled step is flagged as there.
     """
     validate_model(spec)
     _check_2d(spec)

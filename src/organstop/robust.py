@@ -24,7 +24,7 @@ from .model import (
     validate_model,
 )
 from .solver import (SolveOptions, _backup, _Continuation, _solve,
-                     solve_value_iteration)
+                     _value_array, solve_value_iteration)
 from .structure import threshold_1d
 
 # a tilt is accepted at |KL(p || q) - radius| <= KL_RESIDUAL_TOL
@@ -140,10 +140,21 @@ def _worst_case_wait(spec, ambiguity, live, values):
     return cont
 
 
+def _check_chain(spec, ambiguity):
+    """What the robust solver and its operator both refuse."""
+    if spec.variant is not Variant.LIVING_DONOR:
+        raise ModelValidationError(
+            ["robust solving is defined for the living_donor variant only"])
+    if ambiguity.levels.shape != (spec.n_patient,):
+        raise ModelValidationError(["ambiguity levels length mismatch"])
+
+
 def robust_backup(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
                   values: np.ndarray) -> np.ndarray:
+    """One application of the robust Bellman operator."""
+    _check_chain(spec, ambiguity)
     return _backup(spec, _worst_case_wait(spec, ambiguity, spec.live_patients(),
-                                          values),
+                                          _value_array(spec, values)),
                    VARIANT_RULES[spec.variant].terminal_rewards(spec))
 
 
@@ -152,11 +163,7 @@ def robust_value_iteration(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
                            ) -> tuple[ValueFunction, Policy]:
     """Worst-case value function and greedy policy for the robust chain."""
     validate_model(spec)
-    if spec.variant is not Variant.LIVING_DONOR:
-        raise ModelValidationError(
-            ["robust solving is defined for the living_donor variant only"])
-    if len(np.asarray(ambiguity.levels)) != spec.n_patient:
-        raise ModelValidationError(["ambiguity levels length mismatch"])
+    _check_chain(spec, ambiguity)
     live = spec.live_patients()
     problem = _Continuation(spec, VARIANT_RULES[spec.variant].terminal_rewards(spec))
     # the chain has no organ axis: its value is the decline value u itself

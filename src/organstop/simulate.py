@@ -169,13 +169,13 @@ def recompute_reward(spec: DiscreteModelSpec, record: TrajectoryRecord) -> float
         raise ValueError("record was simulated without record_path=True")
     dyn = _Dynamics(spec)
     beta = spec.discount
-    reward = 0.0
+    disc, reward = 1.0, 0.0
     for t, a in enumerate(record.actions):
-        disc = beta ** t
         h = record.states[t][1] if dyn.regime_axis else record.states[t]
         g = dyn.wait_regime[a]
         if g >= 0:
             reward += disc * dyn.wait_reward[g, h]
+            disc *= beta  # the walker's running product, bit for bit
             continue
         k = record.offers[t] if dyn.organ_axis else 0
         reward += disc * dyn.terminal_reward[dyn.terminal_of[a], h, k]

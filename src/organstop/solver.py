@@ -4,8 +4,9 @@ Every solver iterates in continuation space: one decline value per regime
 and patient state, from which the value grid, its offer average and the
 greedy policy follow (:class:`_Continuation`).  The terminal split, the
 backup and the greedy choice below are the only code that turns a
-:class:`~organstop.model.VariantRule` into numbers, and :func:`fixed_point`
-is the only iteration loop.
+:class:`~organstop.model.VariantRule` into numbers, and :func:`_solve` holds
+the only iteration loop: the nominal, robust, risk-sensitive and lifetime
+solvers all run it.
 """
 
 from __future__ import annotations
@@ -48,47 +49,8 @@ class SolveOptions:
             raise ValueError("max_iterations must be >= 1")
 
 
-def fixed_point(step, x0: np.ndarray, opts: SolveOptions,
-                stall_window: int | None = None,
-                first_delta: float | None = None):
-    """Iterate ``x <- step(x)`` from ``x0`` until a step moves x by at most
-    ``opts.tolerance`` in sup-norm.
-
-    Returns ``(x, iterations, converged, residual)`` with residual
-    max |step(x) - x| at the returned x.  Reaching ``opts.max_iterations``
-    returns the last iterate flagged non-converged.  For recursions not
-    known to contract, ``stall_window`` iterations in a row without a new
-    smallest step also stop the iteration, with a warning.  With
-    ``first_delta``, ``x0`` is already iteration 1, reached by a step of
-    that size: the solvers start from the zero value grid, which their
-    iterate cannot hold.
-    """
-    x = x0
-    iterations = 0
-    converged = False
-    best_step, since_best = np.inf, 0
-    for iterations in range(1, opts.max_iterations + 1):
-        if iterations == 1 and first_delta is not None:
-            delta = first_delta
-        else:
-            x_next = step(x)
-            delta = float(np.maximum.reduce(np.abs(x_next - x), axis=None))
-            x = x_next
-        if delta <= opts.tolerance:
-            converged = True
-            break
-        if stall_window is None:
-            continue
-        if delta < best_step - 1e-15:
-            best_step, since_best = delta, 0
-        else:
-            since_best += 1
-            if since_best >= stall_window:
-                warnings.warn("recursion is not contracting; returning the "
-                              "last iterate flagged non-converged")
-                break
-    residual = float(np.maximum.reduce(np.abs(step(x) - x), axis=None))
-    return x, iterations, converged, residual
+#: steps in a row without a new smallest one that stop an undiscounted solve
+STALL_WINDOW = 1000
 
 
 def zero_values(spec: DiscreteModelSpec) -> np.ndarray:
@@ -262,37 +224,57 @@ def _greedy(spec, waits, terminals, tie_break):
     return Policy(spec.variant, actions.reshape(rule.value_shape(spec)))
 
 
-def _solve(problem, waits, opts, stall_window=None, discount=None):
+def _solve(problem, waits, opts, discount=None):
     """Iterate the decline value to its fixed point; return the value
     function and its greedy policy.
 
     ``waits(u, declined)`` gives the (G, H) values of waiting into each
-    regime, ``declined`` being :meth:`_Continuation.declined` of u.
-    Iteration 1 steps from the zero value grid and is measured on the grid;
-    after it, the grid's sup-norm step is max |u' - u| exactly, since the
-    no-offer column is u itself.  The greedy policy reads the wait values of
-    the step :func:`fixed_point` ends on, which is taken at the u it returns.
-    A ``discount`` gives the error bound residual / (1 - discount).
+    regime, ``declined`` being :meth:`_Continuation.declined` of u.  A step
+    is measured on the value grid: iteration 1 steps from the zero grid, and
+    after it the move is max |u' - u| exactly, the no-offer column being u.
+    A step of at most ``opts.tolerance`` converges.  A ``discount`` makes
+    the step a contraction with error bound residual / (1 - discount);
+    without one, STALL_WINDOW steps in a row without a new smallest one also
+    stop the iteration, non-converged, with a warning.  The residual and the
+    greedy policy read the wait values at the returned u.
     """
     spec = problem.spec
-    last = None
-
-    def step(u):
-        nonlocal last
-        last = waits(u, problem.declined(u))
-        return problem.decline(last)
-
     u = problem.decline(waits(np.zeros(problem.everything_declined.shape),
                               problem.everything_declined))
-    u, iterations, converged, residual = fixed_point(
-        step, u, opts, stall_window,
-        first_delta=float(np.max(np.abs(_grid(spec, problem.off, u)))))
+    delta = float(np.max(np.abs(_grid(spec, problem.off, u))))
+    best, since_best = np.inf, 0
+    for iterations in range(1, opts.max_iterations + 1):
+        if iterations > 1:
+            u_next = problem.decline(waits(u, problem.declined(u)))
+            delta = float(np.maximum.reduce(np.abs(u_next - u), axis=None))
+            u = u_next
+        if delta <= opts.tolerance:
+            break
+        if discount is None:
+            best, since_best = ((delta, 0) if delta < best - 1e-15
+                                else (best, since_best + 1))
+            if since_best >= STALL_WINDOW:
+                warnings.warn("recursion is not contracting; returning the "
+                              "last iterate flagged non-converged")
+                break
+    last = waits(u, problem.declined(u))
+    residual = float(np.maximum.reduce(np.abs(problem.decline(last) - u), axis=None))
     V = _grid(spec, problem.off, u)
     vf = ValueFunction(
         values=V, marginal=marginal_values(spec, V), residual=residual,
-        iterations=iterations, converged=converged,
+        iterations=iterations, converged=delta <= opts.tolerance,
         error_bound=None if discount is None else residual / (1.0 - discount))
     return vf, _greedy(spec, last, problem.terminals, opts.tie_break)
+
+
+def _value_array(spec, values):
+    """``values`` as floats, refused unless in the variant's value shape:
+    the check every one-step operator makes."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != VARIANT_RULES[spec.variant].value_shape(spec):
+        raise ModelValidationError(
+            [f"value shape {values.shape} does not match variant {spec.variant.value}"])
+    return values
 
 
 def bellman_backup(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
@@ -301,12 +283,8 @@ def bellman_backup(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
     ``values`` must be zero at death states; the image keeps death at zero
     and is a discount-factor contraction in sup-norm.
     """
-    values = np.asarray(values, dtype=float)
-    rule = VARIANT_RULES[spec.variant]
-    if values.shape != rule.value_shape(spec):
-        raise ModelValidationError(
-            [f"value shape {values.shape} does not match variant {spec.variant.value}"])
-    return _backup(spec, _wait_values(spec, values), rule.terminal_rewards(spec))
+    return _backup(spec, _wait_values(spec, _value_array(spec, values)),
+                   VARIANT_RULES[spec.variant].terminal_rewards(spec))
 
 
 def greedy_policy(spec: DiscreteModelSpec, values: np.ndarray,
@@ -317,7 +295,7 @@ def greedy_policy(spec: DiscreteModelSpec, values: np.ndarray,
     TRANSPLANT over TRANSPLANT_LIVING among transplants); PREFER_TRANSPLANT
     is the reverse.
     """
-    return _greedy(spec, _wait_values(spec, values),
+    return _greedy(spec, _wait_values(spec, _value_array(spec, values)),
                    VARIANT_RULES[spec.variant].terminal_rewards(spec), tie_break)
 
 

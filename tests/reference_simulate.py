@@ -126,7 +126,7 @@ def reference_replay(spec: DiscreteModelSpec, record: TrajectoryRecord) -> float
     reward = 0.0
     for t, a in enumerate(record.actions):
         a = Action(a)
-        disc = beta ** t
+        disc = 1.0 if t == 0 else disc * beta
         state = record.states[t]
         if spec.variant is Variant.DIALYSIS:
             regime, h = state

@@ -161,9 +161,9 @@ def risk_ce_solve(spec, risk, opts, stall_window=1000):
                   opts, stall_window)
 
 
-def lifetime_solve(spec, risk, opts):
+def lifetime_solve(spec, risk, opts, stall_window=1000):
     j = np.arange(risk.lifetime_pmf.shape[-1])
     return _solve(
         spec,
         lambda V: {Action.WAIT: 1.0 + spec.transition @ marginal_values(spec, V)},
-        {Action.TRANSPLANT: risk.lifetime_pmf @ j}, opts)
+        {Action.TRANSPLANT: risk.lifetime_pmf @ j}, opts, stall_window)

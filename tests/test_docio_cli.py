@@ -1142,3 +1142,23 @@ def test_cli_continuous_refuses_bad_fields(tmp_path, capsys, key, value,
                      "--t-max", "5", "--grid-step", "0.5"]) == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, code, message", [
+    ("arrivals", {"kind": "poisson", "rate": 1e308}, cli.EXIT_TRUNCATED,
+     "arrival rate 1e+308 at t=5 exceeds 1e6"),
+    ("offers", {"family": "uniform", "low": 0.0, "high": 1e308},
+     cli.EXIT_VALIDATION, "uniform offer width 1e+308 has no finite square"),
+    ("lifetime", {"family": "exponential", "rate": 1e308},
+     cli.EXIT_VALIDATION, "lifetime rate 1e+308 overflows"),
+], ids=["poisson-rate", "uniform-high", "lifetime-rate"])
+def test_cli_continuous_names_a_huge_magnitude(tmp_path, capsys, key, value,
+                                               code, message):
+    """Magnitudes near the float range stop with the field at fault named,
+    and no RuntimeWarning escapes (the suite turns those into errors)."""
+    inp = write_doc(tmp_path, {"continuous": {**_GOOD_CONTINUOUS, key: value}})
+    out = tmp_path / "curve.json"
+    assert cli.main(["continuous", "--input", inp, "--output", str(out),
+                     "--t-max", "5", "--grid-step", "0.1"]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()

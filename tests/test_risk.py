@@ -191,3 +191,41 @@ def test_unreachable_death_flagged_non_converged():
             spec, RiskSpec(1.0, pmf),
             SolveOptions(tolerance=1e-13, max_iterations=200))
     assert not vf.converged
+
+
+def immortal_state_spec():
+    """State 0 never dies, and its offers give at most two epochs, so
+    waiting there forever is worth an unbounded lifetime."""
+    from organstop import DiscreteModelSpec, Variant, validate_model
+    reward = np.zeros((4, 2))
+    reward[:3, 0] = 2.0
+    return validate_model(DiscreteModelSpec(
+        variant=Variant.BASE,
+        n_patient=4, death_index=3,
+        n_organ=2, no_offer_index=1,
+        transition=np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.3, 0.1, 0.1],
+                             [0.0, 0.3, 0.5, 0.2], [0.0, 0.0, 0.0, 1.0]]),
+        offer_prob=np.full((4, 2), 0.5),
+        wait_reward=np.array([1.0, 1.0, 1.0, 0.0]),
+        transplant_reward=reward,
+        discount=0.9,
+    )), np.broadcast_to([0.2, 0.3, 0.5], (4, 2, 3))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 5.0])
+def test_frozen_expected_utility_flagged_saturated(gamma):
+    """At gamma = 0.1 the iterate freezes a few ulps below 1, where one more
+    epoch alive no longer moves the expected utility."""
+    spec, pmf = immortal_state_spec()
+    with pytest.warns(UserWarning, match="saturated"):
+        vf, _ = risk_sensitive_value_iteration(spec, RiskSpec(gamma, pmf))
+    assert not vf.converged
+
+
+def test_lifetime_recursion_that_never_dies_stalls():
+    spec, pmf = immortal_state_spec()
+    with pytest.warns(UserWarning, match="not contracting"):
+        vf, _ = lifetime_value_iteration(spec, RiskSpec(1.0, pmf))
+    assert not vf.converged
+    assert vf.iterations < 2000
+    assert vf.error_bound is None

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from organstop import (
     Action,
     AmbiguitySpec,
+    ModelValidationError,
     SolveOptions,
     compare_robust_myopic,
     kl_divergence,
@@ -20,7 +21,7 @@ from organstop import (
 from organstop import robust
 from organstop.robust import kl_worst_cases
 
-from helpers import random_living_donor_spec
+from helpers import random_base_spec, random_living_donor_spec
 
 
 def simplex_grid(n_atoms, steps):
@@ -184,6 +185,24 @@ def test_robust_residual_is_the_robust_bellman_residual():
         assert vf.residual > 1e-6
         assert vf.residual == pytest.approx(np.max(np.abs(image - vf.values)),
                                             rel=1e-9)
+
+
+def test_robust_backup_refuses_what_the_solver_refuses():
+    chain = random_living_donor_spec(np.random.default_rng(3))  # 5 states
+    base = random_base_spec(np.random.default_rng(3))
+    H = chain.n_patient
+    cases = [(base, AmbiguitySpec(np.zeros(base.n_patient)),
+              "living_donor variant only"),
+             (chain, AmbiguitySpec(np.zeros(9)), "length mismatch"),
+             (chain, AmbiguitySpec(np.zeros(3)), "length mismatch")]
+    for spec, amb, message in cases:
+        for solve in (lambda: robust_value_iteration(spec, amb),
+                      lambda: robust_backup(spec, amb, np.zeros(spec.n_patient))):
+            with pytest.raises(ModelValidationError, match=message):
+                solve()
+    for shape in [(1,), (H, 1), (H + 1,)]:
+        with pytest.raises(ModelValidationError, match="value shape"):
+            robust_backup(chain, AmbiguitySpec(np.zeros(H)), np.zeros(shape))
 
 
 def test_robust_value_below_nominal():

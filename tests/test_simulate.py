@@ -84,12 +84,16 @@ def test_deterministic_path_reward_is_exact():
 
 
 def test_recompute_reward_matches_stored_exactly():
-    rng_seed = 3
-    specs = [random_base_spec(np.random.default_rng(10)),
-             random_dialysis_spec(np.random.default_rng(11))]
-    for spec in specs:
+    """The replay discounts as the walker does, so long paths at beta near
+    1 (where beta ** t and a running product part in the last bit) replay
+    exactly too."""
+    cases = [(random_base_spec(np.random.default_rng(10)), 3, 50),
+             (random_dialysis_spec(np.random.default_rng(11)), 3, 50)]
+    cases += [(random_base_spec(np.random.default_rng(s), discount=0.99), s, 200)
+              for s in range(30)]
+    for spec, rng_seed, n in cases:
         _, policy = solve_value_iteration(spec)
-        for i in range(50):
+        for i in range(n):
             rec = simulate_trajectory(spec, policy,
                                       trajectory_rng(rng_seed, i),
                                       record_path=True)

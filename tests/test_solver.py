@@ -1,5 +1,6 @@
 """Value iteration against closed forms and the enumeration oracle."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from organstop import (
     Action,
     AmbiguitySpec,
     DiscreteModelSpec,
+    ModelValidationError,
     RiskSpec,
     SolveOptions,
     TieBreak,
@@ -25,7 +27,7 @@ from organstop import (
 )
 from organstop.model import VARIANT_RULES
 from organstop.simulate import brute_force_optimal
-from organstop.solver import (_Continuation, _grid, fixed_point,
+from organstop.solver import (STALL_WINDOW, _Continuation, _grid, _solve,
                               marginal_values, zero_values)
 
 import reference_solver
@@ -241,16 +243,32 @@ def test_continuous_analog_build_and_solve():
     assert np.max(np.abs(vf.values - oracle_vals)) < 1e-7
 
 
-def test_fixed_point_stall_window():
-    # x -> -x never contracts: every step has size 2
-    _, iterations, converged, residual = fixed_point(
-        np.negative, np.ones(2), SolveOptions(max_iterations=50))
-    assert (iterations, converged, residual) == (50, False, 2.0)
+def test_solve_stall_guard_runs_without_a_discount_only():
+    # u -> 1 - u never contracts: every step has size 1
+    spec = single_state_spec()
+    problem = _Continuation(spec, VARIANT_RULES[spec.variant].terminal_rewards(spec))
+    flip = lambda u, _: 1.0 - u
+    opts = SolveOptions(max_iterations=2 * STALL_WINDOW + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vf, _ = _solve(problem, flip, opts, discount=spec.discount)
+    assert (vf.iterations, vf.converged, vf.residual) == (opts.max_iterations,
+                                                          False, 1.0)
     with pytest.warns(UserWarning, match="not contracting"):
-        _, iterations, converged, residual = fixed_point(
-            np.negative, np.ones(2), SolveOptions(max_iterations=50),
-            stall_window=5)
-    assert (iterations, converged, residual) == (6, False, 2.0)
+        vf, _ = _solve(problem, flip, opts)
+    assert (vf.iterations, vf.converged, vf.residual) == (STALL_WINDOW + 1,
+                                                          False, 1.0)
+    assert vf.error_bound is None
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.LIVING_DONOR])
+def test_one_step_operators_refuse_a_wrong_value_shape(variant):
+    spec = random_spec(np.random.default_rng(5), variant, 3, 2)
+    H = spec.n_patient
+    for shape in [(H, 1), (1,), (H + 1,), (H, spec.n_organ + 1)]:
+        for operator in (bellman_backup, greedy_policy):
+            with pytest.raises(ModelValidationError, match="value shape"):
+                operator(spec, np.zeros(shape))
 
 
 def test_non_convergence_is_flagged():
