@@ -560,10 +560,14 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
 
     lambda'(t) = r(t) lambda(t) - beta(t) mu(t) E[(X - lambda(t)/beta(t))+],
     solved with classical fourth-order steps; each grid interval is
-    subdivided until the step-doubling error estimate is below 1e-8.  A
-    failure or arrival rate above 1e6, a non-finite error estimate or 1024
-    substeps raise :class:`StiffnessError`.
+    subdivided until the step-doubling error estimate is below 1e-8 times
+    the offers' upper bound, which bounds lambda, so the test does not
+    depend on the offers' unit.  A failure or arrival rate above 1e6, a
+    non-finite error estimate or 1024 substeps raise :class:`StiffnessError`.
     """
+    if spec.offers.upper == math.inf:
+        raise ValueError("offer support must be bounded")
+    tolerance = 1e-8 * spec.offers.upper
     arrivals = spec.arrivals
     if isinstance(arrivals, PoissonArrivals):
         rate_fn = lambda t: arrivals.rate
@@ -623,8 +627,8 @@ def poisson_lambda_ode(spec: ContinuousModelSpec, t_max: float,
             if not math.isfinite(err):
                 raise StiffnessError(
                     f"non-finite step error between t={t0:.6g} and {t1:.6g}")
-            if err <= 1e-8 or n_sub >= 1024:
-                if err > 1e-8:
+            if err <= tolerance or n_sub >= 1024:
+                if err > tolerance:
                     raise StiffnessError(
                         f"step-size underflow between t={t0:.6g} and {t1:.6g}")
                 value = half
@@ -643,29 +647,20 @@ def critical_times(curve: ThresholdCurve,
 
     ``values`` must be strictly decreasing (x_1 > ... > x_m).  Entry i is 0
     when the curve starts below x_i, infinity when it never reaches x_i,
-    and otherwise the crossing time located to 1e-9 by bisection on the
-    linear interpolant.  The result is nondecreasing.
+    and otherwise the exact crossing of the linear interpolant on the
+    segment ending at the first grid time below x_i.  The result is
+    nondecreasing.
     """
     if not curve.is_nonincreasing():
         raise ValueError("critical times require a nonincreasing curve")
     xs = np.asarray(values, dtype=float)
     if (np.diff(xs) >= 0).any():
         raise ValueError("offer values must be strictly decreasing")
-    out = np.empty(len(xs))
-    t_lo, t_hi = float(curve.times[0]), float(curve.times[-1])
-    inf_lambda = float(curve.values.min())
-    for i, x in enumerate(xs):
-        if inf_lambda >= x:
-            out[i] = np.inf
-        elif curve.values[0] < x:
-            out[i] = 0.0
-        else:
-            lo, hi = t_lo, t_hi
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                if curve(mid) < x:
-                    hi = mid
-                else:
-                    lo = mid
-            out[i] = hi
+    t, lam = curve.times, curve.values
+    # the first grid point below x: the running minimum is nonincreasing
+    i = np.searchsorted(-np.minimum.accumulate(lam), -xs, side="right")
+    out = np.where(i == len(lam), np.inf, 0.0)
+    on = (0 < i) & (i < len(lam))
+    i, x = i[on], xs[on]
+    out[on] = t[i - 1] + (lam[i - 1] - x) / (lam[i - 1] - lam[i]) * (t[i] - t[i - 1])
     return out

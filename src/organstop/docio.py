@@ -374,8 +374,8 @@ def _distinct(a: np.ndarray):
 
     Arrays in result documents hold few distinct values (a 2001-state
     transition matrix about 12 000 in 4 million).  The values come from
-    one sort; the indices are found a slice at a time, so their work space
-    follows the slice, not the array.
+    one sort, and a slice's indices from one search of those sorted keys,
+    so their work space follows the slice, not the array.
     """
     floats = a.dtype.kind == "f"
     flat = np.ascontiguousarray(a, dtype=np.float64 if floats else None).ravel()
@@ -385,17 +385,9 @@ def _distinct(a: np.ndarray):
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
-
-    def index(lo, hi):
-        # asking for the (unused) first indices makes numpy sort stably,
-        # which is several times faster on the long runs of equal values
-        # these arrays hold
-        block, _, inverse = np.unique(flat[lo:hi], return_index=True,
-                                      return_inverse=True)
-        return np.searchsorted(keys, block)[inverse]
-
     values = (keys.view(np.float64) if floats else keys).tolist()
-    return [_round_sig(x) for x in values] if floats else values, index
+    return ([_round_sig(x) for x in values] if floats else values,
+            lambda lo, hi: keys.searchsorted(flat[lo:hi]))
 
 
 def _array_data(a: np.ndarray):

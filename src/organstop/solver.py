@@ -131,10 +131,10 @@ class _Continuation:
     payoff, is exact in its comparisons: each row of T_off is sorted once,
     and with j(h) = #{k : T_off(h, k) <= u(h)} it is payoff(u) F[h, j] +
     S[h, j], F the prefix offer mass and S the suffix sum of K payoff(T_off)
-    along the sorted row.  j comes from two ``searchsorted`` calls: one
-    places u among all of T_off's values, one finds that global rank among
-    the row's keys h (N + 1) + rank, closed by h (N + 1) + N, which yields
-    the flat index h (C + 1) + j.  The stacked wait transitions are kept as
+    along the sorted row.  The sorted rows are kept as the complex keys
+    h + i T_off(h, k), which numpy orders by (row, value), so one
+    ``searchsorted`` of h + i u(h) gives h C + j, and adding h the flat
+    index h (C + 1) + j.  The stacked wait transitions are kept as
     their nonzero (rows, cols, data), rows and cols flat (regime, patient)
     indices, so one ``bincount`` carries every regime.
     """
@@ -145,20 +145,13 @@ class _Continuation:
         self.spec, self.terminals, self.discount = spec, terminals, spec.discount
         self.off, unc = _terminal_split(spec, terminals)
         G, H, C = rule.grid(spec)
-        n = H * C
-        values = self.off.ravel()
-        order = values.argsort(kind="stable")
-        self._values = values[order]
-        # row h's keys: h (n + 1) + its values' global ranks, ascending, + n
-        ranks = np.empty(n, dtype=np.intp)
-        ranks[order] = np.arange(n)
-        keys = np.full((H, C + 1), n)
-        keys[:, :C] = np.sort(ranks.reshape(H, C), axis=1)
-        flat = order[keys[:, :C]]
-        self._keys = (keys + np.arange(0, (n + 1) * H, n + 1)[:, None]).ravel()
+        order = self.off.argsort(axis=1, kind="stable")
+        rewards = np.take_along_axis(self.off, order, axis=1)
         offer = spec.offer_prob if rule.organ_axis else np.ones((H, 1))
-        mass = offer.ravel()[flat]
-        rewards = values[flat]
+        mass = np.take_along_axis(offer, order, axis=1)
+        # set part by part: 1j * -inf has a NaN real part
+        self._keys = np.empty(H * C, complex)
+        self._keys.real, self._keys.imag = np.arange(H).repeat(C), rewards.ravel()
         accepted = rewards > -np.inf
         terms = np.where(accepted, mass * payoff(np.where(accepted, rewards, 0.0)),
                          0.0)
@@ -166,8 +159,7 @@ class _Continuation:
         np.add.accumulate(mass, axis=1, out=tables[0, :, 1:])
         np.add.accumulate(terms[:, ::-1], axis=1, out=tables[1, :, C - 1::-1])
         self.prefix, self.suffix = tables.reshape(2, -1)
-        h = np.arange(G * H).reshape(G, H) % H
-        self._row_keys = (n + 1) * h
+        self._h = h = np.arange(G * H).reshape(G, H) % H
         self.decline = partial(_decline, reads=tuple(
             rule.wait_slots[0][:, :, None] * H + h), unc=unc[h],
             death=spec.death_index)
@@ -180,8 +172,9 @@ class _Continuation:
 
     def declined(self, u: np.ndarray) -> np.ndarray:
         """Flat (h, j(h)) index into the F and S tables, per regime."""
-        r = self._values.searchsorted(u, side="right")
-        return self._keys.searchsorted(self._row_keys + r)
+        query = np.empty(u.shape, complex)
+        query.real, query.imag = self._h, u
+        return self._keys.searchsorted(query, side="right") + self._h
 
     def expect(self, x, declined) -> np.ndarray:
         """x F[h, j] + S[h, j]: the offer expectation of payoff(V) for

@@ -264,7 +264,9 @@ def region_connectivity(spec: DiscreteModelSpec, policy: Policy) -> list[Region]
     runs = _runs(sub)
     n = len(runs.action)
     same = sub[1:] == sub[:-1]
-    links = np.unique(runs.cell[:-1][same] * n + runs.cell[1:][same])
+    # np.unique by sorting: its plain form imports numpy.ma
+    links = np.sort(runs.cell[:-1][same] * n + runs.cell[1:][same])
+    links = links[np.diff(links, prepend=-1) != 0]
     parent = list(range(n))
 
     def find(r):

@@ -52,10 +52,10 @@ def render_region_svg(actions: np.ndarray) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    codes = grid.astype(np.int64)
-    present = np.unique(codes).tolist()
     # one rect and one centred label per maximal constant run of a row
-    runs = _runs(codes)
+    runs = _runs(grid.astype(np.int64))
+    present = np.sort(runs.action)   # np.unique's plain form imports numpy.ma
+    present = present[np.diff(present, prepend=present[:1] - 1) != 0].tolist()
     xs = (MARGIN + runs.start * CELL).tolist()
     ys = (MARGIN + runs.line * CELL).tolist()
     widths = ((runs.stop - runs.start) * CELL).tolist()

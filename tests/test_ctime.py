@@ -324,6 +324,24 @@ def test_ode_plateau_at_quadratic_root():
     assert curve(1.0) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-6)
 
 
+def test_ode_curve_scales_with_the_offers():
+    def curve(high):
+        return poisson_lambda_ode(ContinuousModelSpec(
+            offers=UniformOffers(0.0, high), arrivals=PoissonArrivals(1.0),
+            lifetime=exponential_lifetime(0.5)), t_max=5.0, step=0.1)
+    unit, scaled = curve(1.0), curve(1e10)
+    assert np.allclose(scaled.values, 1e10 * unit.values, rtol=1e-14, atol=0)
+
+
+def test_ode_refuses_unbounded_offers():
+    spec = ContinuousModelSpec(
+        offers=ContinuousOffers(pdf=lambda x: math.exp(-x),
+                                support=(0.0, math.inf)),
+        arrivals=PoissonArrivals(1.0), lifetime=exponential_lifetime(0.5))
+    with pytest.raises(ValueError, match="offer support must be bounded"):
+        poisson_lambda_ode(spec, t_max=1.0, step=0.1)
+
+
 def test_ode_and_renewal_agree_for_poisson_arrivals():
     offers = UniformOffers(0.0, 1.0)
     life = exponential_lifetime(0.5)
@@ -447,6 +465,41 @@ def test_critical_times_zero_and_infinity():
     out = critical_times(linear_curve(), [2.0, -0.5])
     assert out[0] == 0.0          # starts below the best offer
     assert out[1] == math.inf     # never drops below a negative value
+
+
+def segment_crossing(t, lam, x):
+    """Where the linear interpolant reaches x on the segment ending at the
+    first grid time below x."""
+    k = next(k for k, v in enumerate(lam) if v < x)
+    return t[k - 1] + (t[k] - t[k - 1]) * (lam[k - 1] - x) / (lam[k - 1] - lam[k])
+
+
+def test_critical_times_are_the_exact_segment_crossings():
+    t = np.array([0.0, 0.3, 1.1, 1.7, 2.9, 4.0, 5.3])
+    lam = np.array([3.7, 3.1, 2.2, 2.2, 1.3, 0.45, 0.0])
+    xs = [3.5, 2.9, 2.3, 1.9, 1.0, 0.3, 0.01]
+    out = critical_times(ThresholdCurve(t, lam), xs)
+    for got, x in zip(out, xs):
+        want = segment_crossing(t, lam, x)
+        assert abs(got - want) <= np.spacing(want), (x, got, want)
+
+
+def test_critical_time_of_a_plateau_at_the_value_is_its_last_grid_time():
+    t = np.arange(6.0)
+    out = critical_times(ThresholdCurve(t, np.array([3.0, 2.0, 2.0, 2.0, 1.0, 0.0])),
+                         [2.0])
+    assert out[0] == 3.0
+
+
+def test_critical_times_take_the_first_segment_below_past_a_tiny_bump():
+    # the curve rises by 5e-10, which is_nonincreasing allows, back above x
+    t = np.arange(5.0)
+    lam = np.array([2.0, 1.0 - 2.5e-10, 1.0 + 2.5e-10, 0.5, 0.0])
+    curve = ThresholdCurve(t, lam)
+    assert curve.is_nonincreasing()
+    out = critical_times(curve, [1.0])
+    assert 0.0 < out[0] < 1.0
+    assert abs(out[0] - segment_crossing(t, lam, 1.0)) <= np.spacing(out[0])
 
 
 def test_critical_times_requires_monotone_curve():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -539,6 +540,38 @@ def test_cli_writes_the_reference_text_of_the_public_builders(tmp_path,
     assert text["analysis.csv"] == ref.region_csv_text(report.regions)
 
 
+# sha256 of the README chain's outputs; curve.json is left out, as its numbers
+# pass through numpy's SIMD exp, which may differ by an ulp between CPUs
+README_CHAIN_SHA256 = {
+    "solved.json":
+        "cac7f89fbe88e50a52dabab9fcd81c657699b105e2fa3057e1c20012d9902539",
+    "analysis.json":
+        "dd46c43d08b14511238924f0d2faba849ce4a686eb8737f82291e3f2aec4bd86",
+    "analysis.csv":
+        "ccaf47f74d23f6be45bff245bac86d88e12e25077eb723ab9a1861eee4f20569",
+    "sim.json":
+        "fb4f4959a305005c7f3767c846e058e32ca450ace3f7e0891a9c81b6ff40040a",
+    "plot.svg":
+        "b0692f254d0b9c1e49d3ce080168088bd97234d8b8205f4c99b6f22ddc1dffc0",
+}
+
+
+def test_readme_chain_writes_its_pinned_bytes(tmp_path):
+    model = write_doc(tmp_path, README_MODEL)
+    out = {name: str(tmp_path / name) for name in README_CHAIN_SHA256}
+    for argv in (["solve", "--input", model, "--output", out["solved.json"],
+                  "--tol", "1e-10"],
+                 ["analyze", "--input", out["solved.json"], "--output",
+                  out["analysis.json"]],
+                 ["simulate", "--input", model, "--output", out["sim.json"],
+                  "--trajectories", "2000", "--seed", "7"],
+                 ["plot", "--input", out["analysis.json"], "--output",
+                  out["plot.svg"]]):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in README_CHAIN_SHA256} == README_CHAIN_SHA256
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_load_json_pauses_and_restores_the_collector(tmp_path, monkeypatch,
                                                      collecting):
@@ -840,6 +873,22 @@ def test_cli_continuous_truncated_exit_code(tmp_path):
     assert code == cli.EXIT_TRUNCATED
 
 
+def test_cli_continuous_step_test_follows_the_offers_unit(tmp_path, capsys):
+    # offers up to 1e10 put lambda near 1e10, where an absolute 1e-8 step
+    # error cannot be met: the run is only truncated, with no error line
+    doc = {"continuous": {
+        "offers": {"family": "uniform", "low": 0.0, "high": 1e10},
+        "arrivals": {"kind": "poisson", "rate": 1.0},
+        "lifetime": {"family": "exponential", "rate": 0.5},
+    }}
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "o.json"
+    code = cli.main(["continuous", "--input", inp, "--output", str(out),
+                     "--t-max", "5", "--grid-step", "0.1"])
+    assert (code, capsys.readouterr().err) == (cli.EXIT_TRUNCATED, "")
+    assert json.loads(out.read_text())["values"][0] > 1e9
+
+
 def test_cli_plot_unknown_kind(tmp_path):
     inp = write_doc(tmp_path, {"kind": "mystery"})
     assert cli.main(["plot", "--input", inp,
@@ -1046,15 +1095,16 @@ def test_each_cli_command_loads_only_its_modules(tmp_path):
             "before = mods()\n"
             "from organstop import cli\n"
             "after = mods()\n"
-            "print(json.dumps([before, after, cli.main(sys.argv[1:]), mods()]))")
+            "print(json.dumps([before, after, cli.main(sys.argv[1:]), mods(),\n"
+            "                  'numpy.ma' in sys.modules]))")
     src = os.path.dirname(os.path.dirname(organstop.__file__))
     for argv, own in runs:
         run = subprocess.run(
             [sys.executable, "-c", code, *argv], capture_output=True,
             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
         assert run.returncode == 0, run.stderr
-        before, after, exit_code, loaded = json.loads(run.stdout)
-        assert (before, exit_code) == ([], cli.EXIT_OK), argv
+        before, after, exit_code, loaded, masked = json.loads(run.stdout)
+        assert (before, exit_code, masked) == ([], cli.EXIT_OK, False), argv
         assert set(after) == _BASE_MODULES
         assert set(loaded) == _BASE_MODULES | {f"organstop.{m}" for m in own}, \
             argv

@@ -363,7 +363,7 @@ def test_exact_ties_match_the_grid_reference(tie_break):
 @given(st.sampled_from(list(Variant)), st.integers(0, 2**32 - 1),
        st.integers(1, 6), st.integers(1, 5))
 def test_declined_counts_match_sorted_rows(variant, seed, n_live, n_offered):
-    """j(h) from the two searchsorted calls against a direct count, with
+    """j(h) from the one searchsorted call against a direct count, with
     integer rewards and decline values so that ties are common."""
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, variant, n_live, n_offered)
@@ -381,6 +381,32 @@ def test_declined_counts_match_sorted_rows(variant, seed, n_live, n_offered):
     expected = marginal_values(spec, grid).reshape(G, H)
     assert np.allclose(problem.expect(u, problem.declined(u)), expected,
                        rtol=1e-12, atol=1e-12)
+
+
+@given(st.sampled_from([Variant.BASE, Variant.DIALYSIS]),
+       st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_declined_searches_each_sorted_row(variant, seed, n_live, n_offered):
+    """One and two regimes, tied values, -inf rows and columns, and u at the
+    row's own keys, at 0 and between keys: the accept index is h (C + 1)
+    plus the place of u(g, h) in the sorted row h of T_off."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant, n_live, n_offered)
+    rule = VARIANT_RULES[variant]
+    G, H, C = rule.grid(spec)
+    grid = rng.choice([-np.inf, -1.0, 0.0, 1.0, 2.5], size=(H, C))
+    grid[rng.random(H) < 0.3] = -np.inf
+    grid[:, rng.random(C) < 0.3] = -np.inf
+    problem = _Continuation(spec, {t.action: grid for t in rule.terminals})
+    rows = np.sort(problem.off, axis=1)
+    u = np.empty((G, H))
+    for h, row in enumerate(rows):
+        finite = np.unique(row[np.isfinite(row)])
+        between = np.concatenate([finite[:1] - 0.5, (finite[1:] + finite[:-1]) / 2,
+                                  finite[-1:] + 0.5])
+        u[:, h] = rng.choice(np.concatenate([row, [0.0], between]), size=G)
+    places = [np.searchsorted(row, u[:, h], side="right") for h, row in enumerate(rows)]
+    assert np.array_equal(problem.declined(u),
+                          np.arange(H) * (C + 1) + np.transpose(places))
 
 
 @given(st.sampled_from([v.value for v in Variant] + ["robust"]),
