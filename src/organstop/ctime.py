@@ -218,25 +218,31 @@ class ErlangLifetime(LifetimeDistribution):
         _positive_rate(self.rate, "lifetime")
 
     def _poisson_terms(self, t):
-        """x, the last term x^(k-1)/(k-1)! and the partial sum S at t."""
+        """x, the last term x^(k-1)/(k-1)!, the partial sum S and e at t;
+        each time S passes 2^900 both are divided by 2^900 (exact), so they
+        are the true term and S times 2^(-900 e) and a large x^j/j! fits."""
         try:
             with np.errstate(over="raise"):
-                x = self.rate * np.asarray(t, dtype=float)
+                x, e = self.rate * np.asarray(t, dtype=float), 0.0
                 term = total = np.ones_like(x)
                 for j in range(1, self.shape):
                     term = term * x / j
                     total = total + term
+                    big = total > 2.0 ** 900
+                    if big.any():
+                        scale = np.where(big, 2.0 ** -900, 1.0)
+                        term, total, e = term * scale, total * scale, e + big
         except FloatingPointError:
             raise ValueError(f"lifetime rate {self.rate:.3g} overflows the "
                              f"Poisson terms at t={np.max(t):.6g}") from None
-        return x, term, total
+        return x, term, total, e
 
     def survival(self, t):
-        x, _, total = self._poisson_terms(t)
-        return (np.exp(-x) * total)[()]
+        x, _, total, e = self._poisson_terms(t)
+        return (np.exp(e * (900 * math.log(2.0)) - x) * total)[()]
 
     def failure_rate(self, t):
-        _, last, total = self._poisson_terms(t)
+        _, last, total, _ = self._poisson_terms(t)
         return (self.rate * last / total)[()]
 
     def sample(self, rng, n):
@@ -481,10 +487,14 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
     after the last grid time contributes 0 (see :class:`ThresholdCurve`), so
     lambda is 0 at t_max.  Under an IFR lifetime the returned curve is
     nonincreasing.  A grid time whose fixed point does not settle within
-    1e-13 in 100 iterations raises :class:`StiffnessError`.
+    1e-13 * offers.upper (a bound on lambda; an unbounded support is
+    refused) in 100 iterations raises :class:`StiffnessError`.
     """
     if not isinstance(spec.arrivals, RenewalArrivals):
         raise ValueError("renewal_lambda requires renewal arrivals")
+    if spec.offers.upper == math.inf:
+        raise ValueError("offer support must be bounded")
+    tolerance = 1e-13 * spec.offers.upper
     lifetime = spec.lifetime
     truncated = lifetime.survival(t_max) > TRUNCATION_SURVIVAL
 
@@ -524,14 +534,14 @@ def renewal_lambda(spec: ContinuousModelSpec, t_max: float,
         for _ in range(100):
             lam[i] = guess
             new = float(np.sum(weights * w_at(u, lam, beta_u)))
-            if abs(new - guess) <= 1e-13:
+            if abs(new - guess) <= tolerance:
                 break
             guess = new
         else:
             raise StiffnessError(
-                f"renewal fixed point at t = {t:g} not within 1e-13 after "
-                f"100 iterations; the interarrival gap is too short for "
-                f"step {step:g}")
+                f"renewal fixed point at t = {t:g} not within {tolerance:g} "
+                f"after 100 iterations; the interarrival gap is too short "
+                f"for step {step:g}")
         lam[i] = new
     return ThresholdCurve(times, lam, truncated=truncated)
 

@@ -9,7 +9,6 @@ sections or keys only warn, so newer documents still load.
 
 from __future__ import annotations
 
-import csv
 import functools
 import gc
 import itertools
@@ -17,7 +16,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,12 +51,7 @@ class ModelDocument:
     continuous: ctime.ContinuousModelSpec | None = None
 
 
-_MODEL_KEYS = {
-    "variant", "n_patient", "death_index", "n_organ", "no_offer_index",
-    "transition", "offer_prob", "wait_reward", "transplant_reward",
-    "discount", "patient_orientation", "organ_orientation",
-    "living_donor_state", "success_prob", "success_reward",
-}
+_MODEL_KEYS = {f.name for f in fields(DiscreteModelSpec)}
 _KNOWN_SECTIONS = {"model", "continuous"}
 
 
@@ -675,7 +669,6 @@ def write_region_csv(path: str, regions) -> None:
 def write_curve_csv(path: str, curve) -> None:
     """Threshold curve as rows (t, lambda)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lambda"])
-        for t, v in zip(curve.times, curve.values):
-            writer.writerow([f"{t:.12g}", f"{v:.12g}"])
+        fh.write("t,lambda\r\n")
+        fh.writelines(f"{t:.12g},{v:.12g}\r\n"
+                      for t, v in zip(curve.times, curve.values))

@@ -358,13 +358,14 @@ def _rollout(spec, policy, streams, n, max_epochs):
 # exact enumeration on tiny models
 
 def _cell_dynamics(spec):
-    """Legal actions, rewards and next-cell rows of every live cell.
+    """Classes, rewards and next-cell rows of every live cell.
 
     Cells are (regime, patient, offer column) triples in the order of
-    :meth:`VariantRule.grid`.  Returns (cells, legal actions per cell, rewards
-    (cell, slot), rows (cell, slot, cell)): slot j is the j-th legal action,
-    and terminal actions and unused slots have zero rows.  ValueError past
-    the enumeration bounds.
+    :meth:`VariantRule.grid`.  A cell's classes are its wait actions, then,
+    if it has a terminal, the first of its best terminals, whose row is
+    zero.  Returns (cells, the action of each class per cell, rewards
+    (cell, class), rows (cell, class, cell)); unused classes are zero.
+    ValueError past the enumeration bounds, which count legal actions.
     """
     rule = VARIANT_RULES[spec.variant]
     n_regimes, n_patient, n_columns = rule.grid(spec)
@@ -385,60 +386,55 @@ def _cell_dynamics(spec):
         raise ValueError("more than 3 actions at some cell")
     block = offer.size  # cells per regime
 
-    rewards, rows = np.zeros((n, m)), np.zeros((n, m, n))
+    classes, rewards, rows = [], np.zeros((n, m)), np.zeros((n, m, n))
     for i, ((g, h, k), acts) in enumerate(zip(cells, legal)):
-        for j, a in enumerate(acts):
-            if a in terminals:
-                rewards[i, j] = np.broadcast_to(
-                    terminals[a], (n_patient, n_columns))[h, k]
+        ends = {a: np.broadcast_to(terminals[a], (n_patient, n_columns))[h, k]
+                for a in acts if a in terminals}
+        best = (max(ends, key=ends.get),) if ends else ()  # the first best
+        classes.append(acts[:len(acts) - len(ends)] + best)
+        for j, a in enumerate(classes[-1]):
+            if a in ends:
+                rewards[i, j] = ends[a]
             else:
                 rewards[i, j] = wait_rewards[waits[a], h]
                 start = waits[a] * block
                 rows[i, j, start:start + block] = (
                     (spec.discount * transitions[waits[a], h, live])[:, None]
                     * offer).ravel()
-    return cells, legal, rewards, rows
+    return cells, classes, rewards, rows
 
 
 def brute_force_optimal(spec: DiscreteModelSpec) -> tuple[np.ndarray, Policy]:
     """Exact optimal values, one linear system per stationary wait pattern.
 
-    A cell's classes are its wait actions and, if it has a terminal, one
-    terminal class: its best terminal reward and the zero row of every
-    terminal.  Under fixed waits, V = (I - beta P)^-1 r rises with r, the
-    inverse being a nonnegative Neumann series (Puterman 1994, 6.1), so the
-    best terminals win at every cell at once.  The optimal value is the
-    pointwise maximum of the directly solved systems, with no iteration
-    error, and the returned policy attains it everywhere.  Only meant for
-    tiny models: at most 12 live cells and 3 actions per cell.  Pattern j is
-    the j-th of ``itertools.product`` over the cells' classes, read from j
-    in mixed radix, solved BRUTE_FORCE_CHUNK at a time.
+    Each cell chooses among its classes (see :func:`_cell_dynamics`): its
+    wait actions and its best terminal.  Under fixed waits,
+    V = (I - beta P)^-1 r rises with r, the inverse being a nonnegative
+    Neumann series (Puterman 1994, 6.1), so the best terminals win at every
+    cell at once.  The optimal value is the pointwise maximum of the
+    directly solved systems, with no iteration error, and the returned
+    policy attains it everywhere.  Only meant for tiny models: at most 12
+    live cells and 3 actions per cell.  Pattern j is the j-th of
+    ``itertools.product`` over the cells' classes, read from j in mixed
+    radix, solved BRUTE_FORCE_CHUNK at a time.
     """
     validate_model(spec)
-    cells, acts_per_cell, rewards, rows = _cell_dynamics(spec)
+    cells, classes, rewards, rows = _cell_dynamics(spec)
     rule = VARIANT_RULES[spec.variant]
-    # waits come first; a slot's class goes by its action, not its row
-    terminal = {t.action for t in rule.terminals}
-    class_rewards, classes = rewards.copy(), []
-    for i, acts in enumerate(acts_per_cell):
-        w = sum(a not in terminal for a in acts)
-        if w < len(acts):
-            class_rewards[i, w] = rewards[i, w:len(acts)].max()
-        classes.append(w + (w < len(acts)))
-    classes = np.array(classes)
-    total, n = math.prod(classes.tolist()), len(cells)
-    strides = total // np.cumprod(classes)  # the last cell varies fastest
+    radix = np.array([len(c) for c in classes])
+    total, n = math.prod(radix.tolist()), len(cells)
+    strides = total // np.cumprod(radix)  # the last cell varies fastest
     best_vals = np.full(n, -np.inf)
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         index = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total))
-        pick = (np.arange(n), index[:, None] // strides % classes)  # (pattern, cell)
-        vals = np.linalg.solve(np.eye(n) - rows[pick], class_rewards[pick][:, :, None])
+        pick = (np.arange(n), index[:, None] // strides % radix)  # (pattern, cell)
+        vals = np.linalg.solve(np.eye(n) - rows[pick], rewards[pick][:, :, None])
         best_vals = np.maximum(best_vals, vals[:, :, 0].max(axis=0))
 
     # the pointwise maximum is attained by the policy that is greedy with
     # respect to it
     assign = []
-    for i, acts in enumerate(acts_per_cell):
+    for i, acts in enumerate(classes):
         qs = [rewards[i, j] + rows[i, j] @ best_vals for j in range(len(acts))]
         assign.append(acts[int(np.argmax(qs))])
 
@@ -466,12 +462,15 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
     Rewards are beta(t) * value at acceptance and 0 on death; a trajectory
     still open after ``max_arrivals`` arrivals scores 0 and is counted in
     ``truncated``.  All trajectories read ``trajectory_rng(seed, 0)``.
-    ``2 <= n_trajectories < 2**32``; thinning refuses a rate that is not in
-    [0, rate_bound].
+    Arrival gaps come from one sampler: a renewal's interarrival, or
+    :class:`ExponentialInterarrival` at the Poisson rate or, for a
+    time-varying rate, at its ``rate_bound``, the only case thinned.
+    ``2 <= n_trajectories < 2**32``; thinning refuses a bound that is
+    missing, 0 or infinite and a rate that is not in [0, rate_bound].
     """
     _check_sample_size(n_trajectories)
-    from .ctime import (FixedInstants, NonhomogeneousPoissonArrivals,
-                        PoissonArrivals, RenewalArrivals)
+    from .ctime import (ExponentialInterarrival, FixedInstants,
+                        NonhomogeneousPoissonArrivals, RenewalArrivals)
     rng = trajectory_rng(_check_seed(seed), 0)
     rewards = np.zeros(n_trajectories)
     fixed = isinstance(spec.arrivals, FixedInstants)
@@ -505,37 +504,36 @@ def continuous_time_simulate(spec: ContinuousModelSpec, threshold,
     open_ = np.ones(n_trajectories, dtype=bool)
 
     arrivals = spec.arrivals
-    if isinstance(arrivals, NonhomogeneousPoissonArrivals) \
-            and arrivals.rate_bound is None:
+    thinned = isinstance(arrivals, NonhomogeneousPoissonArrivals)
+    if isinstance(arrivals, RenewalArrivals):
+        sampler = arrivals.interarrival
+    elif not thinned:
+        if arrivals.rate == 0.0:
+            return _estimate(rewards)  # no offers ever arrive
+        sampler = ExponentialInterarrival(arrivals.rate)
+    elif arrivals.rate_bound is None:
         raise ValueError("thinning needs an explicit rate bound")
-    if isinstance(arrivals, PoissonArrivals) and arrivals.rate == 0.0:
-        return _estimate(rewards)  # no offers ever arrive
+    else:
+        sampler = ExponentialInterarrival(arrivals.rate_bound)
 
     for _ in range(max_arrivals):
         if not open_.any():
             break
         idx = np.flatnonzero(open_)
         m = len(idx)
-        if isinstance(arrivals, RenewalArrivals):
-            gaps = np.asarray(arrivals.interarrival.sample(rng, m), dtype=float)
-            real = np.ones(m, dtype=bool)
-        elif isinstance(arrivals, PoissonArrivals):
-            gaps = rng.exponential(1.0 / arrivals.rate, m)
-            real = np.ones(m, dtype=bool)
-        else:
-            gaps = rng.exponential(1.0 / arrivals.rate_bound, m)
-            cand = t[idx] + gaps
-            rates = np.array([arrivals.rate_fn(u) for u in cand], dtype=float)
+        t[idx] += np.asarray(sampler.sample(rng, m), dtype=float)
+        now = t[idx]
+        dead = now >= tau[idx]
+        open_[idx[dead]] = False
+        hit = ~dead
+        if thinned:
+            rates = np.array([arrivals.rate_fn(u) for u in now], dtype=float)
             bad = ~((rates >= 0) & (rates <= arrivals.rate_bound))
             if bad.any():
                 j = int(np.argmax(bad))
-                raise ValueError(f"thinning: rate {rates[j]} at time {cand[j]} "
+                raise ValueError(f"thinning: rate {rates[j]} at time {now[j]} "
                                  f"outside [0, rate_bound {arrivals.rate_bound}]")
-            real = rng.random(m) < rates / arrivals.rate_bound
-        t[idx] += gaps
-        dead = t[idx] >= tau[idx]
-        open_[idx[dead]] = False
-        hit = ~dead & real
+            hit &= rng.random(m) < rates / arrivals.rate_bound
         if not hit.any():
             continue
         at = idx[hit]

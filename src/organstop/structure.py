@@ -328,15 +328,10 @@ def policy_from_organ_limits(spec: DiscreteModelSpec,
 def threshold_1d(actions: np.ndarray, death_index: int):
     """Constant control limit of a 1-D policy, or None.
 
-    Returns the smallest live index at which TRANSPLANT_LIVING starts,
-    provided the transplant set is a contiguous suffix of the live states
-    (len(live) when the policy never transplants).
+    The live states are one patient-axis line of :func:`_threshold_form`:
+    the start of its transplant block (len(live) when it never transplants),
+    or None unless it is a wait block, then a transplant block.
     """
     line = np.delete(np.asarray(actions), death_index)
-    runs = _runs(line[None, :])
-    transplant = runs.action == Action.TRANSPLANT_LIVING
-    if not transplant.any():
-        return len(line)
-    if transplant.sum() == 1 and transplant[-1]:   # one run, the last
-        return int(runs.start[-1])
-    return None
+    limit = _threshold_form(_runs(line[None, :]), len(line), "patient")
+    return None if limit is None else int(limit[0])

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +142,33 @@ def test_erlang_failure_rate_increases():
     rates = [float(life.failure_rate(np.asarray(t)))
              for t in np.linspace(0.1, 10.0, 40)]
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+def _exact_erlang(shape, x):
+    """The last Poisson term x^(k-1)/(k-1)! and the partial sum S, exactly."""
+    term = total = Fraction(1)
+    for j in range(1, shape):
+        term = term * Fraction(x) / j
+        total += term
+    return term, total
+
+
+@pytest.mark.parametrize("shape, rate, t", [(200, 1e3, 5.0), (800, 1.0, 750.0)])
+def test_erlang_with_a_large_shape_matches_exact_sums(shape, rate, t):
+    """S past the float range: the terms are summed on a power-of-two scale,
+    so the failure rate and the survival are finite and exact to rounding."""
+    life = erlang_lifetime(shape, rate)
+    last, total = _exact_erlang(shape, rate * t)
+    assert float(life.failure_rate(t)) == pytest.approx(
+        float(Fraction(rate) * last / total), rel=1e-13, abs=0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        survival = float(Decimal(total.numerator) / Decimal(total.denominator)
+                         * Decimal(-rate * t).exp())
+    assert float(life.survival(t)) == pytest.approx(survival, rel=1e-12,
+                                                    abs=1e-300)
+    assert np.asarray(life.failure_rate(np.array([0.0, t]))).tolist()[1] \
+        == float(life.failure_rate(t))
 
 
 def scipy_erlang(shape, rate):
@@ -309,6 +338,28 @@ def test_renewal_fixed_point_that_does_not_settle_raises():
         lifetime=exponential_lifetime(0.5),
     )
     with pytest.raises(StiffnessError, match=r"at t = 0\.9 "):
+        renewal_lambda(spec, t_max=1.0, step=0.1)
+
+
+def test_renewal_curve_scales_with_the_offers():
+    # the fixed point settles in the offers' unit: one ulp of a lambda near
+    # 1e10 is about 2e-6, far above an absolute 1e-13
+    def curve(high):
+        return renewal_lambda(ContinuousModelSpec(
+            offers=UniformOffers(0.0, high),
+            arrivals=RenewalArrivals(exponential_interarrival(1.0)),
+            lifetime=exponential_lifetime(0.5)), t_max=5.0, step=0.1)
+    unit, scaled = curve(1.0), curve(1e10)
+    assert np.allclose(scaled.values, 1e10 * unit.values, rtol=1e-14, atol=0)
+
+
+def test_renewal_refuses_unbounded_offers():
+    spec = ContinuousModelSpec(
+        offers=ContinuousOffers(pdf=lambda x: math.exp(-x),
+                                support=(0.0, math.inf)),
+        arrivals=RenewalArrivals(exponential_interarrival(1.0)),
+        lifetime=exponential_lifetime(0.5))
+    with pytest.raises(ValueError, match="offer support must be bounded"):
         renewal_lambda(spec, t_max=1.0, step=0.1)
 
 

@@ -889,6 +889,23 @@ def test_cli_continuous_step_test_follows_the_offers_unit(tmp_path, capsys):
     assert json.loads(out.read_text())["values"][0] > 1e9
 
 
+def test_cli_renewal_fixed_point_follows_the_offers_unit(tmp_path, capsys):
+    # the renewal twin of the document above: its fixed point settles in the
+    # offers' unit, so the run is only truncated, with no error line
+    doc = {"continuous": {
+        "offers": {"family": "uniform", "low": 0.0, "high": 1e10},
+        "arrivals": {"kind": "renewal", "interarrival":
+                     {"family": "exponential", "rate": 1.0}},
+        "lifetime": {"family": "exponential", "rate": 0.5},
+    }}
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "o.json"
+    code = cli.main(["continuous", "--input", inp, "--output", str(out),
+                     "--t-max", "5", "--grid-step", "0.1"])
+    assert (code, capsys.readouterr().err) == (cli.EXIT_TRUNCATED, "")
+    assert json.loads(out.read_text())["values"][0] > 1e9
+
+
 def test_cli_plot_unknown_kind(tmp_path):
     inp = write_doc(tmp_path, {"kind": "mystery"})
     assert cli.main(["plot", "--input", inp,
@@ -1083,6 +1100,9 @@ def test_each_cli_command_loads_only_its_modules(tmp_path):
           "--trajectories", "100"], {"solver", "simulate"}),
         (["continuous", "--input", ct, "--output", paths["curve.json"],
           "--t-max", "40", "--grid-step", "0.5"], {"ctime"}),
+        (["continuous", "--input", ct, "--output", str(tmp_path / "c.json"),
+          "--t-max", "40", "--grid-step", "0.5", "--format", "csv"],
+         {"ctime"}),
         # a region grid is drawn from structure's run table
         (["plot", "--input", paths["analysis.json"], "--output",
           str(tmp_path / "regions.svg")], {"svgplot", "structure"}),
@@ -1096,15 +1116,16 @@ def test_each_cli_command_loads_only_its_modules(tmp_path):
             "from organstop import cli\n"
             "after = mods()\n"
             "print(json.dumps([before, after, cli.main(sys.argv[1:]), mods(),\n"
-            "                  'numpy.ma' in sys.modules]))")
+            "                  'numpy.ma' in sys.modules, 'csv' in sys.modules]))")
     src = os.path.dirname(os.path.dirname(organstop.__file__))
     for argv, own in runs:
         run = subprocess.run(
             [sys.executable, "-c", code, *argv], capture_output=True,
             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
         assert run.returncode == 0, run.stderr
-        before, after, exit_code, loaded, masked = json.loads(run.stdout)
-        assert (before, exit_code, masked) == ([], cli.EXIT_OK, False), argv
+        before, after, exit_code, loaded, masked, csv = json.loads(run.stdout)
+        assert (before, exit_code, masked, csv) == ([], cli.EXIT_OK, False,
+                                                    False), argv
         assert set(after) == _BASE_MODULES
         assert set(loaded) == _BASE_MODULES | {f"organstop.{m}" for m in own}, \
             argv

@@ -27,7 +27,9 @@ from organstop import (
     Variant,
     brute_force_optimal,
     continuous_time_simulate,
+    erlang_lifetime,
     estimate_policy_value,
+    exponential_interarrival,
     exponential_lifetime,
     finite_horizon_thresholds,
     infinite_horizon_limit,
@@ -146,7 +148,10 @@ def test_brute_force_matches_per_policy_reference(variant):
     # combined and dialysis specs mix cells with 2 and 3 legal actions
     n_live, n_offered = (2, 1) if variant is Variant.DIALYSIS else (3, 2)
     spec = random_spec(np.random.default_rng(17), variant, n_live, n_offered)
-    counts = {len(a) for a in simulate._cell_dynamics(spec)[1]}
+    rule = VARIANT_RULES[variant]
+    n_regimes, _, n_columns = rule.grid(spec)
+    counts = {len(rule.legal(spec, g, k)) for g in range(n_regimes)
+              for k in range(n_columns)}
     if variant in (Variant.COMBINED, Variant.DIALYSIS):
         assert {2, 3} <= counts
     values, policy = brute_force_optimal(spec)
@@ -433,6 +438,18 @@ def test_thinning_requires_rate_bound():
         continuous_time_simulate(spec, lambda t: 0.0, 10, seed=4)
 
 
+@pytest.mark.parametrize("bound", [0.0, math.inf])
+def test_thinning_refuses_a_bound_that_draws_no_gaps(bound):
+    # the bound is the rate of the exponential gaps thinning draws
+    spec = ContinuousModelSpec(
+        offers=UniformOffers(0.0, 1.0),
+        arrivals=NonhomogeneousPoissonArrivals(rate_fn=lambda t: 0.0,
+                                               rate_bound=bound),
+        lifetime=exponential_lifetime(1.0),
+    )
+    with pytest.raises(ValueError, match="interarrival rate must be finite"):
+        continuous_time_simulate(spec, lambda t: 0.0, 10, seed=4)
+
 @pytest.mark.parametrize("rate", [2.0, math.inf, math.nan, -0.5])
 def test_thinning_refuses_a_rate_outside_its_bound(rate):
     spec = ContinuousModelSpec(
@@ -555,3 +572,52 @@ def test_continuous_simulation_reproducible():
     a = continuous_time_simulate(spec, lambda t: 0.4, 1000, seed=9)
     b = continuous_time_simulate(spec, lambda t: 0.4, 1000, seed=9)
     assert a.mean == b.mean
+
+
+def _pinned_spec(arrivals, lifetime=exponential_lifetime(0.5)):
+    return ContinuousModelSpec(offers=UniformOffers(0.0, 1.0),
+                               arrivals=arrivals, lifetime=lifetime)
+
+
+_PINNED_FIXED = ContinuousModelSpec(
+    offers=FiniteOffers(np.array([3.0, 1.5, 0.5]), np.array([0.2, 0.3, 0.5])),
+    arrivals=FixedInstants(np.arange(1.0, 6.0)),
+    survival_alphas=np.full(5, 0.85),
+    discount_fn=lambda t: math.exp(-0.1 * t))
+
+# (spec, threshold, max_arrivals or None for the default, the estimate's
+# repr((mean, std_error, truncated)) for n = 3000 and seed 2024)
+_PINNED_ESTIMATES = {
+    "poisson": (_pinned_spec(PoissonArrivals(1.0)), lambda t: 0.4, None,
+                "(0.3679313439856217, 0.006790380965491924, 0)"),
+    "poisson-zero": (_pinned_spec(PoissonArrivals(0.0)), lambda t: 0.4, None,
+                     "(0.0, 0.0, 0)"),
+    "deterministic": (
+        _pinned_spec(RenewalArrivals(DeterministicInterarrival(0.7))),
+        lambda t: 0.5, None, "(0.39326167941480467, 0.0070569530029063006, 0)"),
+    "exponential": (
+        _pinned_spec(RenewalArrivals(exponential_interarrival(2.0)),
+                     erlang_lifetime(3, 1.5)),
+        lambda t: 0.6, None, "(0.57291037615457, 0.006841859707842392, 0)"),
+    "thinned": (
+        _pinned_spec(NonhomogeneousPoissonArrivals(
+            lambda t: 1.0 + math.sin(t), rate_bound=2.5)),
+        lambda t: 0.3 * math.exp(-0.2 * t), None,
+        "(0.42028867050509267, 0.006282110386021177, 0)"),
+    "fixed-array": (_PINNED_FIXED, np.array([1.2, 1.0, 0.8, 0.4, 0.0]), None,
+                    "(1.2817191882280055, 0.017394852426180232, 0)"),
+    "fixed-callable": (_PINNED_FIXED, lambda t: max(0.0, 1.5 - 0.3 * t), None,
+                       "(1.2702207102067524, 0.017447033253113642, 0)"),
+    "max-arrivals-3": (_pinned_spec(PoissonArrivals(1.0)), lambda t: 0.9, 3,
+                       "(0.12081749142266698, 0.0057785608656338375, 585)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_ESTIMATES))
+def test_continuous_estimate_keeps_its_pinned_numbers(case):
+    """The estimator's draw order and float operations, pinned: any change
+    moves these exact numbers, which a statistical test would let pass."""
+    spec, threshold, max_arrivals, pinned = _PINNED_ESTIMATES[case]
+    extra = {} if max_arrivals is None else {"max_arrivals": max_arrivals}
+    est = continuous_time_simulate(spec, threshold, 3000, seed=2024, **extra)
+    assert repr((est.mean, est.std_error, est.truncated)) == pinned
