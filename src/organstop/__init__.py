@@ -48,7 +48,7 @@ _EXPORTS = {
     "simulate": (
         "EvalEstimate", "TrajectoryRecord", "brute_force_optimal",
         "continuous_time_simulate", "estimate_policy_value",
-        "recompute_reward", "simulate_trajectory"),
+        "simulate_trajectory"),
     "docio": ("DocumentError", "ModelDocument", "load_document",
               "parse_document"),
 }

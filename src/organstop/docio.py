@@ -607,22 +607,16 @@ def structure_results_document(spec, policy, report) -> dict:
     return json_data(_structure_document(spec, policy, report))
 
 
-def simulate_results_document(estimate, trajectories=None) -> dict:
-    doc = {
+def simulate_results_document(estimate) -> dict:
+    return json_data({
         "kind": "simulate_results",
         "mean": estimate.mean,
         "std_error": estimate.std_error,
         "n": estimate.n,
         "ci_low": estimate.ci_low,
         "ci_high": estimate.ci_high,
-        "truncated": getattr(estimate, "truncated", 0),
-    }
-    if trajectories is not None:
-        doc["trajectories"] = [
-            {"reward": t.reward, "epochs": t.epochs, "terminal": t.terminal,
-             "states": t.states, "offers": t.offers, "actions": t.actions}
-            for t in trajectories]
-    return json_data(doc)
+        "truncated": estimate.truncated,
+    })
 
 
 def curve_results_document(curve, critical=None, offer_values=None) -> dict:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,17 +29,13 @@ MAX_BRUTE_FORCE_ACTIONS = 3
 BRUTE_FORCE_CHUNK = 2048
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryRecord:
     """One simulated history under a fixed policy."""
 
     reward: float
     epochs: int
     terminal: str  # "death", "transplant" or "truncated"
-    states: list = field(default_factory=list)    # patient (or (regime, h))
-    offers: list = field(default_factory=list)    # organ index per epoch
-    actions: list = field(default_factory=list)   # Action codes per epoch
-    success: bool | None = None                   # continuous-analog attempt
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,6 @@ def _last_positive(prob):
     return prob.shape[-1] - 1 - np.argmax(prob[..., ::-1] > 0, axis=-1)
 
 
-def _sample_row(rng, cum_row, last):
-    # a row summing to a little less than 1 (within ROW_SUM_TOL) leaves the
-    # top of [0, 1) past its cumsum: that mass goes to the last possible index
-    return min(int(np.searchsorted(cum_row, rng.random(), side="right")),
-               int(last))
-
-
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Stream of trajectory ``index``: ``Philox(key=seed)`` with ``index`` in
     word 1 of its counter.  Philox is counter-based (Salmon et al. 2011):
@@ -82,7 +72,7 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 
 class _Dynamics:
-    """One epoch of a variant as arrays, read by every discrete walker.
+    """One epoch of a variant as arrays, read by the one discrete walker.
 
     A live patient h in regime g draws an offer column k (k = 0 without an
     organ axis) and takes a = actions[g, h, k], with actions reshaped to
@@ -99,7 +89,7 @@ class _Dynamics:
     def __init__(self, spec: DiscreteModelSpec):
         rule = VARIANT_RULES[spec.variant]
         self.grid = rule.grid(spec)
-        self.regime_axis, self.organ_axis = self.grid[0] > 1, rule.organ_axis
+        self.organ_axis = rule.organ_axis
         waits = {w.action: w.regime for regime in rule.regimes for w in regime}
         self.wait_regime = np.full(len(Action), -1)
         self.wait_regime[list(waits)] = list(waits.values())
@@ -121,67 +111,16 @@ class _Dynamics:
 
 def simulate_trajectory(spec: DiscreteModelSpec, policy: Policy,
                         rng: np.random.Generator,
-                        max_epochs: int = MAX_EPOCHS,
-                        record_path: bool = False) -> TrajectoryRecord:
-    """Roll out one history and return its realized discounted reward."""
-    dyn = _Dynamics(spec)
-    actions = policy.actions.reshape(dyn.grid)
-    beta, death = spec.discount, spec.death_index
-    h, g, k = (0 if death != 0 else 1), 0, 0
-    disc = 1.0
-    reward = 0.0
-    record = TrajectoryRecord(reward=0.0, epochs=0, terminal="truncated")
-
-    for epoch in range(max_epochs):
-        if h == death:
-            record.terminal = "death"
-            break
-        if dyn.organ_axis:
-            k = _sample_row(rng, dyn.cum_offer[h], dyn.last_offer[h])
-        a = int(actions[g, h, k])
-        if record_path:
-            record.states.append((g, h) if dyn.regime_axis else h)
-            if dyn.organ_axis:
-                record.offers.append(k)
-            record.actions.append(a)
-        record.epochs = epoch + 1
-        g = int(dyn.wait_regime[a])
-        if g < 0:
-            reward += disc * dyn.terminal_reward[dyn.terminal_of[a], h, k]
-            if dyn.success_draw:
-                record.success = rng.random() < spec.success_prob[h, k]
-                if record.success:
-                    reward += disc * beta * spec.success_reward
-            record.terminal = "transplant"
-            break
-        reward += disc * dyn.wait_reward[g, h]
-        row = g * spec.n_patient + h
-        h = _sample_row(rng, dyn.cum_trans[row], dyn.last_trans[row])
-        disc *= beta
-
-    record.reward = reward
-    return record
-
-
-def recompute_reward(spec: DiscreteModelSpec, record: TrajectoryRecord) -> float:
-    """Replay a logged path and re-derive its discounted reward."""
-    if not record.actions:
-        raise ValueError("record was simulated without record_path=True")
-    dyn = _Dynamics(spec)
-    beta = spec.discount
-    disc, reward = 1.0, 0.0
-    for t, a in enumerate(record.actions):
-        h = record.states[t][1] if dyn.regime_axis else record.states[t]
-        g = dyn.wait_regime[a]
-        if g >= 0:
-            reward += disc * dyn.wait_reward[g, h]
-            disc *= beta  # the walker's running product, bit for bit
-            continue
-        k = record.offers[t] if dyn.organ_axis else 0
-        reward += disc * dyn.terminal_reward[dyn.terminal_of[a], h, k]
-        if dyn.success_draw and record.success:
-            reward += disc * beta * spec.success_reward
-    return reward
+                        max_epochs: int = MAX_EPOCHS) -> TrajectoryRecord:
+    """Roll out one history and return its realized discounted reward: the
+    batched rollout on one trajectory, which draws from ``rng``."""
+    # the next len(rows) uniforms, whatever the draw; random(0) takes none
+    draws = SimpleNamespace(random=lambda draw, rows: rng.random(len(rows)))
+    rewards, truncated, stopped, epochs = _rollout(spec, policy, draws, 1,
+                                                   max_epochs)
+    terminal = ("truncated" if truncated else
+                "transplant" if stopped else "death")
+    return TrajectoryRecord(float(rewards[0]), epochs, terminal)
 
 
 def estimate_policy_value(spec: DiscreteModelSpec, policy: Policy,
@@ -191,10 +130,10 @@ def estimate_policy_value(spec: DiscreteModelSpec, policy: Policy,
 
     Trajectory ``i`` draws from ``trajectory_rng(seed, i)``: Philox keyed
     by the seed, with ``i`` in word 1 of the counter.  Its reward is the one
-    :func:`simulate_trajectory` returns on that stream, bit for bit, and
-    does not depend on ``n_trajectories``; trajectories are stepped together
-    in blocks whose size changes no number.  ``seed`` is an integer in
-    [0, 2**128) and ``2 <= n_trajectories < 2**32``.
+    :func:`simulate_trajectory`, the same rollout, returns on that stream,
+    and does not depend on ``n_trajectories``; trajectories are stepped
+    together in blocks whose size changes no number.  ``seed`` is an integer
+    in [0, 2**128) and ``2 <= n_trajectories < 2**32``.
     """
     validate_model(spec)
     validate_policy(spec, policy)
@@ -222,7 +161,7 @@ def _simulate_rewards(spec, policy, n, seed, max_epochs):
     truncated = 0
     for first in range(0, n, _BLOCK):
         count = min(_BLOCK, n - first)
-        rewards[first:first + count], cut = _rollout(
+        rewards[first:first + count], cut, _, _ = _rollout(
             spec, policy, _PhiloxStreams(seed, first, count), count, max_epochs)
         truncated += cut
     return rewards, truncated
@@ -288,8 +227,9 @@ class _PhiloxStreams:
 
 def _sample_rows(cum, last, row, u):
     """``np.searchsorted(cum[r], u, side="right")`` for each pair (r, u),
-    clamped to ``last[r]`` as :func:`_sample_row` does.  It takes numpy's
-    halving steps, so it agrees with numpy even on an unsorted row.
+    clamped to ``last[r]``: a row summing to a little under 1 sends the top
+    of [0, 1) to its last possible index.  It takes numpy's halving steps,
+    so it agrees with numpy even on an unsorted row.
     """
     n_columns = cum.shape[1]
     lo = np.zeros(len(u), dtype=np.intp)
@@ -304,13 +244,13 @@ def _sample_rows(cum, last, row, u):
 
 
 def _rollout(spec, policy, streams, n, max_epochs):
-    """Rewards of n trajectories stepped together, and how many were cut
-    at ``max_epochs``.
+    """Rewards of n trajectories stepped together; how many were cut at
+    ``max_epochs`` and how many stopped by a terminal action; the epoch at
+    which the loop ended (``max_epochs`` if it never broke).
 
-    Each live trajectory makes the draws :func:`simulate_trajectory` makes
-    (offer, then success or transition) in the same order and with the same
-    float operations, so its reward is bit-identical.  Live trajectories
-    have all made the same number of draws at the start of an epoch.
+    The one discrete walker.  A live trajectory draws its offer, then its
+    success or its transition; live trajectories have all made the same
+    number of draws at the start of an epoch.
     """
     dyn = _Dynamics(spec)
     actions = policy.actions.reshape(dyn.grid)
@@ -322,6 +262,7 @@ def _rollout(spec, policy, streams, n, max_epochs):
     h = np.full(n, 0 if death != 0 else 1)
     g = np.zeros(n, dtype=np.intp)
     disc, acc = np.ones(n), np.zeros(n)
+    stopped = 0
     for epoch in range(max_epochs):
         alive = h != death
         if not alive.all():
@@ -344,14 +285,17 @@ def _rollout(spec, policy, streams, n, max_epochs):
                 won = streams.random(d + 1, s_rows) < spec.success_prob[s_h, s_k]
                 s_acc[won] += s_disc[won] * beta * spec.success_reward
             rewards[s_rows] = s_acc
+            stopped += len(s_rows)
             go = ~stop
             rows, h, g, disc, acc = (x[go] for x in (rows, h, g, disc, acc))
         acc = acc + disc * dyn.wait_reward[g, h]
         h = _sample_rows(dyn.cum_trans, dyn.last_trans, g * n_patient + h,
                          streams.random(d + draws - 1, rows))
         disc = disc * beta
+    else:
+        epoch = max_epochs
     rewards[rows] = acc
-    return rewards, len(rows)
+    return rewards, len(rows), stopped, epoch
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +327,8 @@ def _cell_dynamics(spec):
         raise ValueError(f"{n} live cells exceeds the enumeration bound "
                          f"{MAX_BRUTE_FORCE_CELLS}")
     if m > MAX_BRUTE_FORCE_ACTIONS:
-        raise ValueError("more than 3 actions at some cell")
+        raise ValueError(f"more than {MAX_BRUTE_FORCE_ACTIONS} actions at "
+                         "some cell")
     block = offer.size  # cells per regime
 
     classes, rewards, rows = [], np.zeros((n, m)), np.zeros((n, m, n))

@@ -1,11 +1,14 @@
-"""Reference walkers: the per-variant ``if`` ladders that the dynamics
-table of ``organstop.simulate`` replaced.
+"""Reference walker: the per-variant ``if`` ladder that the dynamics table
+of ``organstop.simulate`` replaced.
 
-``reference_trajectory`` rolls one history out and ``reference_replay``
-re-derives its reward, each branching on the variant and the action by
-hand.  The tests hold ``simulate_trajectory`` and ``recompute_reward`` to
-them: every record field and every replayed reward, bit for bit.
+``reference_trajectory`` rolls one history out on a generator, branching on
+the variant and the action by hand, and returns its own record.  The tests
+hold ``simulate_trajectory`` (the batched rollout on one trajectory) and,
+through it, the batched estimator to it: the reward bit for bit, the epoch
+count and the way the history ended.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +20,14 @@ from organstop.model import (
     Policy,
     Variant,
 )
-from organstop.simulate import MAX_EPOCHS, TrajectoryRecord
+from organstop.simulate import MAX_EPOCHS
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    reward: float
+    epochs: int
+    terminal: str  # "death", "transplant" or "truncated"
 
 
 def _last_positive(prob):
@@ -34,11 +44,10 @@ def _sample_row(rng, cum_row, last):
 
 def reference_trajectory(spec: DiscreteModelSpec, policy: Policy,
                          rng: np.random.Generator,
-                         max_epochs: int = MAX_EPOCHS,
-                         record_path: bool = False) -> TrajectoryRecord:
+                         max_epochs: int = MAX_EPOCHS) -> ReferenceRecord:
     """Roll out one history and return its realized discounted reward."""
     beta = spec.discount
-    death, nooff = spec.death_index, spec.no_offer_index
+    death = spec.death_index
     cum_offer = np.cumsum(spec.offer_prob, axis=1)
     last_offer = _last_positive(spec.offer_prob)
     cum_trans = np.cumsum(spec.transition, axis=-1)
@@ -48,27 +57,23 @@ def reference_trajectory(spec: DiscreteModelSpec, policy: Policy,
     regime = MEDICATION_REGIME
     disc = 1.0
     reward = 0.0
-    record = TrajectoryRecord(reward=0.0, epochs=0, terminal="truncated")
+    epochs, terminal = 0, "truncated"
 
     for epoch in range(max_epochs):
         if h == death:
-            record.terminal = "death"
+            terminal = "death"
             break
 
         if spec.variant is Variant.LIVING_DONOR:
             a = Action(policy.actions[h])
-            if record_path:
-                record.states.append(h)
-                record.actions.append(int(a))
+            epochs = epoch + 1
             if a is Action.TRANSPLANT_LIVING:
                 reward += disc * spec.living_donor_reward()[h]
-                record.terminal = "transplant"
-                record.epochs = epoch + 1
+                terminal = "transplant"
                 break
             reward += disc * spec.wait_reward[h]
             h = _sample_row(rng, cum_trans[h], last_trans[h])
             disc *= beta
-            record.epochs = epoch + 1
             continue
 
         k = _sample_row(rng, cum_offer[h], last_offer[h])
@@ -76,30 +81,21 @@ def reference_trajectory(spec: DiscreteModelSpec, policy: Policy,
             a = Action(policy.actions[regime, h, k])
         else:
             a = Action(policy.actions[h, k])
-        if record_path:
-            record.states.append((regime, h) if spec.variant is Variant.DIALYSIS
-                                 else h)
-            record.offers.append(k)
-            record.actions.append(int(a))
+        epochs = epoch + 1
 
         if a is Action.TRANSPLANT and spec.variant is Variant.CONTINUOUS_ANALOG:
             reward += disc * spec.wait_reward[h]
-            success = rng.random() < spec.success_prob[h, k]
-            if success:
+            if rng.random() < spec.success_prob[h, k]:
                 reward += disc * beta * spec.success_reward
-            record.success = success
-            record.terminal = "transplant"
-            record.epochs = epoch + 1
+            terminal = "transplant"
             break
         if a is Action.TRANSPLANT:
             reward += disc * spec.transplant_reward[h, k]
-            record.terminal = "transplant"
-            record.epochs = epoch + 1
+            terminal = "transplant"
             break
         if a is Action.TRANSPLANT_LIVING:
             reward += disc * spec.living_donor_reward()[h]
-            record.terminal = "transplant"
-            record.epochs = epoch + 1
+            terminal = "transplant"
             break
 
         # waiting actions
@@ -112,39 +108,5 @@ def reference_trajectory(spec: DiscreteModelSpec, policy: Policy,
             reward += disc * spec.wait_reward[h]
             h = _sample_row(rng, cum_trans[h], last_trans[h])
         disc *= beta
-        record.epochs = epoch + 1
 
-    record.reward = reward
-    return record
-
-
-def reference_replay(spec: DiscreteModelSpec, record: TrajectoryRecord) -> float:
-    """Replay a logged path and re-derive its discounted reward."""
-    if not record.actions:
-        raise ValueError("record was simulated without record_path=True")
-    beta = spec.discount
-    reward = 0.0
-    for t, a in enumerate(record.actions):
-        a = Action(a)
-        disc = 1.0 if t == 0 else disc * beta
-        state = record.states[t]
-        if spec.variant is Variant.DIALYSIS:
-            regime, h = state
-        else:
-            regime, h = None, state
-        if a is Action.TRANSPLANT and spec.variant is Variant.CONTINUOUS_ANALOG:
-            reward += disc * spec.wait_reward[h]
-            if record.success:
-                reward += disc * beta * spec.success_reward
-        elif a is Action.TRANSPLANT:
-            reward += disc * spec.transplant_reward[h, record.offers[t]]
-        elif a is Action.TRANSPLANT_LIVING:
-            reward += disc * spec.living_donor_reward()[h]
-        elif a is Action.MEDICATION:
-            reward += disc * spec.wait_reward[MEDICATION_REGIME, h]
-        elif a is Action.DIALYSIS:
-            reward += disc * spec.wait_reward[DIALYSIS_REGIME, h]
-        else:
-            reward += disc * (spec.wait_reward[h] if regime is None
-                              else spec.wait_reward[regime, h])
-    return reward
+    return ReferenceRecord(float(reward), epochs, terminal)

@@ -33,7 +33,6 @@ from organstop import (
     exponential_lifetime,
     finite_horizon_thresholds,
     infinite_horizon_limit,
-    recompute_reward,
     simulate_trajectory,
     solve_value_iteration,
     validate_model,
@@ -44,7 +43,7 @@ from organstop.simulate import trajectory_rng
 
 from helpers import random_base_spec, random_dialysis_spec, random_spec
 from reference_brute_force import brute_force_reference
-from reference_simulate import reference_replay, reference_trajectory
+from reference_simulate import reference_trajectory
 
 
 def deterministic_chain():
@@ -83,23 +82,6 @@ def test_deterministic_path_reward_is_exact():
     est = estimate_policy_value(spec, wait_policy(spec), 100, seed=2)
     assert est.std_error <= 1e-12  # identical paths, up to summation noise
     assert est.mean == pytest.approx(1.0 + 0.9 * 0.5, abs=1e-12)
-
-
-def test_recompute_reward_matches_stored_exactly():
-    """The replay discounts as the walker does, so long paths at beta near
-    1 (where beta ** t and a running product part in the last bit) replay
-    exactly too."""
-    cases = [(random_base_spec(np.random.default_rng(10)), 3, 50),
-             (random_dialysis_spec(np.random.default_rng(11)), 3, 50)]
-    cases += [(random_base_spec(np.random.default_rng(s), discount=0.99), s, 200)
-              for s in range(30)]
-    for spec, rng_seed, n in cases:
-        _, policy = solve_value_iteration(spec)
-        for i in range(n):
-            rec = simulate_trajectory(spec, policy,
-                                      trajectory_rng(rng_seed, i),
-                                      record_path=True)
-            assert recompute_reward(spec, rec) == rec.reward
 
 
 def test_trajectory_streams_are_stable():
@@ -226,32 +208,47 @@ def random_policy(spec, rng):
 
 
 def scalar_rewards(spec, policy, seed, indices, max_epochs=simulate.MAX_EPOCHS):
-    records = [simulate_trajectory(spec, policy, trajectory_rng(seed, i),
-                                   max_epochs=max_epochs) for i in indices]
+    records = [reference_trajectory(spec, policy, trajectory_rng(seed, i),
+                                    max_epochs=max_epochs) for i in indices]
     return (np.array([r.reward for r in records]),
             sum(r.terminal == "truncated" for r in records))
+
+
+def long_path_cases(variant):
+    """(spec, seed, trajectories) whose paths run long at beta near 1, where
+    beta ** t and the walkers' running product part in the last bit."""
+    if variant is Variant.BASE:
+        return [(random_base_spec(np.random.default_rng(10)), 3, 50)] + [
+            (random_base_spec(np.random.default_rng(s), discount=0.99), s, 200)
+            for s in range(30)]
+    if variant is Variant.DIALYSIS:
+        return [(random_dialysis_spec(np.random.default_rng(11)), 3, 50)]
+    return []
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_trajectories_match_the_variant_ladder(variant):
     # solved and random legal policies; cut at once, early, or not at all
     rng = np.random.default_rng(19)
+    cases = []
     for _ in range(2):
         spec = random_spec(rng, variant, n_live=3, n_offered=2)
         policies = [solve_value_iteration(spec)[1], random_policy(spec, rng),
                     random_policy(spec, rng)]
-        for policy, seed, max_epochs in itertools.product(
-                policies, (1, 2 ** 40 + 3), (1, 3, simulate.MAX_EPOCHS)):
-            for i in range(40):
-                got = simulate_trajectory(spec, policy, trajectory_rng(seed, i),
-                                          max_epochs, record_path=True)
-                want = reference_trajectory(spec, policy,
-                                            trajectory_rng(seed, i),
-                                            max_epochs, record_path=True)
-                # repr tells the field types apart too: int from np.int64
-                assert repr(got) == repr(want)
-                assert repr(recompute_reward(spec, got)) == repr(
-                    reference_replay(spec, want))
+        cases += [(spec, policy, seed, max_epochs, 40)
+                  for policy, seed, max_epochs in itertools.product(
+                      policies, (1, 2 ** 40 + 3), (1, 3, simulate.MAX_EPOCHS))]
+    cases += [(spec, solve_value_iteration(spec)[1], seed, simulate.MAX_EPOCHS, n)
+              for spec, seed, n in long_path_cases(variant)]
+    for spec, policy, seed, max_epochs, n in cases:
+        for i in range(n):
+            got = simulate_trajectory(spec, policy, trajectory_rng(seed, i),
+                                      max_epochs)
+            want = reference_trajectory(spec, policy, trajectory_rng(seed, i),
+                                        max_epochs)
+            # repr tells the field types apart too: int from np.int64
+            assert repr((got.reward, got.epochs, got.terminal)) == repr(
+                (want.reward, want.epochs, want.terminal))
 
 
 @pytest.mark.filterwarnings("error")  # uint64 wrap-around must stay silent
@@ -343,13 +340,14 @@ def test_estimates_do_not_load_numpy_random():
 
 
 class ConstantDraws:
-    """Stub generator: every uniform draw returns ``u``."""
+    """Stub generator and rollout draws: every uniform draw returns ``u``."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, draw=None, rows=None):
-        return self.u if rows is None else np.full(len(rows), self.u)
+    def random(self, size, rows=None):
+        # Generator.random(size), or the rollout's random(draw, rows)
+        return np.full(size if rows is None else len(rows), self.u)
 
 
 def test_sample_index_is_clamped_to_last_possible_state():
@@ -369,12 +367,14 @@ def test_sample_index_is_clamped_to_last_possible_state():
     ))
     policy = wait_policy(spec)
     draws = ConstantDraws(1.0 - 1e-12)
-    rec = simulate_trajectory(spec, policy, draws, record_path=True)
-    assert rec.states == [0, 1] and rec.offers == [2, 2]
-    assert rec.terminal == "death" and rec.reward == 1.0 + 0.9 * 0.6
-    rewards, truncated = simulate._rollout(spec, policy, draws, 4,
-                                           simulate.MAX_EPOCHS)
-    assert np.all(rewards == rec.reward) and truncated == 0
+    # offer 2 twice (no organ), then patients 0, 1 and death
+    rec = simulate_trajectory(spec, policy, draws)
+    assert rec.epochs == 2 and rec.terminal == "death"
+    assert rec.reward == 1.0 + 0.9 * 0.6
+    rewards, truncated, stopped, epochs = simulate._rollout(
+        spec, policy, draws, 4, simulate.MAX_EPOCHS)
+    assert np.all(rewards == rec.reward)
+    assert (truncated, stopped, epochs) == (0, 0, 2)
 
 
 def test_sample_size_is_validated():
