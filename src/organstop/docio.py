@@ -51,7 +51,7 @@ class ModelDocument:
     continuous: ctime.ContinuousModelSpec | None = None
 
 
-_MODEL_KEYS = {f.name for f in fields(DiscreteModelSpec)}
+_MODEL_KEYS = tuple(f.name for f in fields(DiscreteModelSpec))
 _KNOWN_SECTIONS = {"model", "continuous"}
 
 
@@ -235,16 +235,11 @@ def parse_arrivals(section: dict, path: str):
 def parse_discount_fn(section: dict | None, path: str):
     if section is None:
         return lambda t: 1.0
-    kind = _require(section, "kind", path, str)
-    if kind == "constant":
-        value = _number(section, "value", path)
-        return lambda t: value
-    if kind == "exponential":
-        rate = _number(section, "rate", path)
-        return lambda t: math.exp(-rate * t)
-    raise DocumentError(f"{path}.kind",
-                        f"unknown discount kind {kind!r} "
-                        "(constant, exponential)")
+    return _family(section, path, "kind", "discount kind", {
+        "constant": lambda: (lambda value: lambda t: value)(
+            _number(section, "value", path)),
+        "exponential": lambda: (lambda rate: lambda t: math.exp(-rate * t))(
+            _number(section, "rate", path))})
 
 
 def parse_continuous_section(section: dict,
@@ -263,8 +258,9 @@ def parse_continuous_section(section: dict,
             arrivals=parse_arrivals(_require(section, "arrivals", path, dict),
                                     f"{path}.arrivals"),
             lifetime=lifetime,
-            discount_fn=parse_discount_fn(section.get("discount"),
-                                          f"{path}.discount"),
+            discount_fn=parse_discount_fn(
+                _require(section, "discount", path, dict, optional=True),
+                f"{path}.discount"),
             survival_alphas=_array(section, "survival_alphas", path, 1,
                                    optional=True),
         )
@@ -532,26 +528,14 @@ def _sparse_if_smaller(a: np.ndarray):
 
 
 def _model(spec: DiscreteModelSpec) -> dict:
-    out = {
-        "variant": spec.variant.value,
-        "n_patient": spec.n_patient,
-        "death_index": spec.death_index,
-        "n_organ": spec.n_organ,
-        "no_offer_index": spec.no_offer_index,
-        "transition": _sparse_if_smaller(spec.transition),
-        "offer_prob": spec.offer_prob,
-        "wait_reward": spec.wait_reward,
-        "transplant_reward": spec.transplant_reward,
-        "discount": json_data(spec.discount),
-        "patient_orientation": spec.patient_orientation.value,
-        "organ_orientation": spec.organ_orientation.value,
-    }
-    if spec.living_donor_state is not None:
-        out["living_donor_state"] = spec.living_donor_state
-    if spec.success_prob is not None:
-        out["success_prob"] = spec.success_prob
-        out["success_reward"] = json_data(spec.success_reward)
-    return out
+    """Each set field of ``spec``, in declaration order: enums by value,
+    arrays as ndarrays (the transition sparse if smaller), else json_data."""
+    values = {key: getattr(spec, key) for key in _MODEL_KEYS}
+    values["transition"] = _sparse_if_smaller(spec.transition)
+    return {key: value.value if isinstance(value, (Variant, Orientation))
+            else value if isinstance(value, (np.ndarray, dict))
+            else json_data(value)
+            for key, value in values.items() if value is not None}
 
 
 def model_section(spec: DiscreteModelSpec) -> dict:

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 
 MAX_EPOCHS = 1_000_000
 MAX_BRUTE_FORCE_CELLS = 12
-MAX_BRUTE_FORCE_ACTIONS = 3
 BRUTE_FORCE_CHUNK = 2048
 
 
@@ -309,7 +308,7 @@ def _cell_dynamics(spec):
     if it has a terminal, the first of its best terminals, whose row is
     zero.  Returns (cells, the action of each class per cell, rewards
     (cell, class), rows (cell, class, cell)); unused classes are zero.
-    ValueError past the enumeration bounds, which count legal actions.
+    ValueError past MAX_BRUTE_FORCE_CELLS live cells.
     """
     rule = VARIANT_RULES[spec.variant]
     n_regimes, n_patient, n_columns = rule.grid(spec)
@@ -326,9 +325,6 @@ def _cell_dynamics(spec):
     if n > MAX_BRUTE_FORCE_CELLS:
         raise ValueError(f"{n} live cells exceeds the enumeration bound "
                          f"{MAX_BRUTE_FORCE_CELLS}")
-    if m > MAX_BRUTE_FORCE_ACTIONS:
-        raise ValueError(f"more than {MAX_BRUTE_FORCE_ACTIONS} actions at "
-                         "some cell")
     block = offer.size  # cells per regime
 
     classes, rewards, rows = [], np.zeros((n, m)), np.zeros((n, m, n))
@@ -359,9 +355,9 @@ def brute_force_optimal(spec: DiscreteModelSpec) -> tuple[np.ndarray, Policy]:
     cell at once.  The optimal value is the pointwise maximum of the
     directly solved systems, with no iteration error, and the returned
     policy attains it everywhere.  Only meant for tiny models: at most 12
-    live cells and 3 actions per cell.  Pattern j is the j-th of
-    ``itertools.product`` over the cells' classes, read from j in mixed
-    radix, solved BRUTE_FORCE_CHUNK at a time.
+    live cells, and every variant has at most 3 actions per cell.  Pattern
+    j is the j-th of ``itertools.product`` over the cells' classes, read
+    from j in mixed radix, solved BRUTE_FORCE_CHUNK at a time.
     """
     validate_model(spec)
     cells, classes, rewards, rows = _cell_dynamics(spec)

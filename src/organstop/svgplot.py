@@ -38,6 +38,15 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
+def _framed(width: int, height: int, parts: list[str]) -> str:
+    """``parts`` as an SVG document of that size on a white canvas."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *parts, "</svg>"]) + "\n"
+
+
 def render_region_svg(actions: np.ndarray) -> str:
     """Color-coded (patient x organ) action grid with a legend."""
     from .structure import _runs  # a curve plot needs no structure
@@ -47,11 +56,6 @@ def render_region_svg(actions: np.ndarray) -> str:
     nh, nk = grid.shape
     width = MARGIN + nk * CELL + 140
     height = MARGIN + nh * CELL + 20
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
     # one rect and one centred label per maximal constant run of a row
     runs = _runs(grid.astype(np.int64))
     present = np.sort(runs.action)   # np.unique's plain form imports numpy.ma
@@ -59,12 +63,12 @@ def render_region_svg(actions: np.ndarray) -> str:
     xs = (MARGIN + runs.start * CELL).tolist()
     ys = (MARGIN + runs.line * CELL).tolist()
     widths = ((runs.stop - runs.start) * CELL).tolist()
-    parts += [f'<rect x="{x}" y="{y}" width="{w}" height="{CELL}" '
-              f'fill="{ACTION_COLORS.get(a, "#000000")}" stroke="#333333"/>\n'
-              f'<text x="{x + w // 2}" y="{y + CELL // 2 + 5}" '
-              f'text-anchor="middle" font-size="12" fill="white">'
-              f'{ACTION_LABELS.get(a, "?")}</text>'
-              for x, y, w, a in zip(xs, ys, widths, runs.action.tolist())]
+    parts = [f'<rect x="{x}" y="{y}" width="{w}" height="{CELL}" '
+             f'fill="{ACTION_COLORS.get(a, "#000000")}" stroke="#333333"/>\n'
+             f'<text x="{x + w // 2}" y="{y + CELL // 2 + 5}" '
+             f'text-anchor="middle" font-size="12" fill="white">'
+             f'{ACTION_LABELS.get(a, "?")}</text>'
+             for x, y, w, a in zip(xs, ys, widths, runs.action.tolist())]
     # axis labels: patient index down the side, organ index along the top
     for i in range(nh):
         parts.append(f'<text x="{MARGIN - 10}" y="{MARGIN + i * CELL + CELL // 2 + 5}" '
@@ -79,8 +83,7 @@ def render_region_svg(actions: np.ndarray) -> str:
                      f'fill="{ACTION_COLORS.get(a, "#000000")}" stroke="#333333"/>')
         parts.append(f'<text x="{legend_x + 22}" y="{y + 13}" font-size="12">'
                      f'{ACTION_LABELS.get(a, "?")}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _framed(width, height, parts)
 
 
 def render_curve_svg(times, values, critical_times=()) -> str:
@@ -101,9 +104,6 @@ def render_curve_svg(times, values, critical_times=()) -> str:
     points = " ".join(f"{_fmt(px(t))},{_fmt(py(v))}"
                       for t, v in zip(times, values))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="#333333"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
@@ -122,5 +122,4 @@ def render_curve_svg(times, values, critical_times=()) -> str:
                  f'text-anchor="end" font-size="12">t</text>')
     parts.append(f'<text x="{pad - 30}" y="{pad}" font-size="12">'
                  f'lambda(t)</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _framed(width, height, parts)

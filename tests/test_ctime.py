@@ -73,6 +73,19 @@ def test_generic_offers_match_uniform():
             uni.excess_integral(np.asarray(c)), abs=1e-9)
 
 
+def test_generic_offers_build_their_sampling_table_once():
+    calls = []
+    off = ContinuousOffers(pdf=lambda x: calls.append(x) or 2.0 * x,
+                           support=(0.0, 1.0))
+    first = off.sample(np.random.default_rng(3), 5)
+    second = off.sample(np.random.default_rng(3), 5)
+    assert len(calls) == 4097
+    np.testing.assert_array_equal(first, second)
+    # the density 2x has the inverse CDF sqrt(u)
+    np.testing.assert_allclose(
+        first, np.sqrt(np.random.default_rng(3).random(5)), atol=1e-3)
+
+
 # E[max(beta X, lam)] is read only through E[(X - c)+]; check it against the
 # expectation written out directly, for lam >= 0 and beta in (0, 1].
 lams = st.floats(0.0, 20.0)

@@ -27,7 +27,7 @@ from organstop.svgplot import render_curve_svg, render_region_svg
 import reference_writers as ref
 from helpers import (banded_spec, random_analog_spec, random_base_spec,
                      random_dialysis_spec, random_living_donor_spec,
-                     random_spec)
+                     random_spec, reversed_spec)
 
 
 def model_doc(spec):
@@ -570,6 +570,50 @@ def test_readme_chain_writes_its_pinned_bytes(tmp_path):
         assert cli.main(argv) == cli.EXIT_OK, argv
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in README_CHAIN_SHA256} == README_CHAIN_SHA256
+
+
+# sha256 of the solve document of one spec per model-section form the README
+# chain does not write: the analog's success fields, a living-donor state,
+# dialysis's stacked arrays, both axes larger_is_better and a sparse
+# transition echo
+SOLVE_DOCUMENT_SHA256 = {
+    "analog": ("7f583b198bfb8271d6dd0fdec831a612d63da2c78aed14203b7a70cdcc4e9cf4",
+               lambda: random_analog_spec(np.random.default_rng(51))),
+    "living_donor": (
+        "ccc737de9be70cff30b06fb1dc68dc1588d5b4ee1acd1a8d31b4834676f128f2",
+        lambda: random_living_donor_spec(np.random.default_rng(52))),
+    "dialysis": (
+        "d27c0af1842efd0a30643ccb4cb142dc032f4b13be8146ded7f07d15aba4c87b",
+        lambda: random_dialysis_spec(np.random.default_rng(53))),
+    "larger_is_better": (
+        "a09db24937b1004303defc7e5c6464f62b5061055b2a27c6b4b71146c73e8ac7",
+        lambda: reversed_spec(random_base_spec(np.random.default_rng(54)))),
+    "sparse_transition": (
+        "b31142807430dd9620cddbb747591e7bbb26059ba02672df448a68c20129c821",
+        lambda: banded_spec(random_base_spec(np.random.default_rng(55),
+                                             n_live=12))),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_DOCUMENT_SHA256)
+def test_solve_documents_write_their_pinned_bytes(tmp_path, name):
+    digest, make = SOLVE_DOCUMENT_SHA256[name]
+    spec = make()
+    path = tmp_path / "solved.json"
+    docio.dump_document(docio._solve_document(
+        spec, *solve_value_iteration(spec)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_curve_svg_writes_its_pinned_bytes():
+    """A hand-given curve, so no numpy exp sits between input and bytes; the
+    last two critical times are skipped (inf) and clipped (past t_max)."""
+    svg = render_curve_svg(np.linspace(0, 5, 11),
+                           np.linspace(4, 0, 11) ** 1.5 / 2,
+                           (1.25, 3.0, math.inf, 7.0))
+    assert svg.count('class="critical-time"') == 3
+    assert hashlib.sha256(svg.encode()).hexdigest() == \
+        "3491bb99e71d416e92cf9f74def9a4cf0df1a39bfeb806fd1914a0f25f755f8f"
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -1197,11 +1241,16 @@ _GOOD_CONTINUOUS = {
      "offer probabilities must be finite"),
     ("arrivals", {"kind": "fixed", "times": [1.0, float("nan")]},
      "arrival instants must be finite"),
+    ("discount", 0.9, "continuous.discount: expected dict, got float"),
+    ("discount", True, "continuous.discount: expected dict, got bool"),
+    ("discount", [1], "continuous.discount: expected dict, got list"),
+    ("discount", "exponential", "continuous.discount: expected dict, got str"),
 ], ids=["poisson-negative", "poisson-inf", "poisson-nan", "lifetime-zero",
         "lifetime-negative", "lifetime-nan", "erlang-fractional-shape",
         "erlang-zero-shape", "erlang-nan-shape", "lifetime-null",
         "interarrival-zero", "interarrival-inf", "gap-nan", "offer-values-nan",
-        "offer-probs-nan", "instants-nan"])
+        "offer-probs-nan", "instants-nan", "discount-number", "discount-bool",
+        "discount-list", "discount-string"])
 def test_cli_continuous_refuses_bad_fields(tmp_path, capsys, key, value,
                                            message):
     doc = {**_GOOD_CONTINUOUS, key: value}
