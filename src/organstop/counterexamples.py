@@ -20,7 +20,6 @@ from .model import (
     DiscreteModelSpec,
     Policy,
     Variant,
-    validate_model,
     validate_policy,
 )
 
@@ -45,7 +44,7 @@ def _uniform_spec(variant, n_live_patient, n_offered, living_donor=False):
     wait[-1] = 0.0
     reward = np.zeros((H, K))
     reward[:-1, :-1] = 10.0 - np.arange(n_offered)[None, :]
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=variant,
         n_patient=H, death_index=H - 1,
         n_organ=K, no_offer_index=K - 1,
@@ -53,7 +52,6 @@ def _uniform_spec(variant, n_live_patient, n_offered, living_donor=False):
         transplant_reward=reward, discount=0.9,
         living_donor_state=(n_offered - 1) if living_donor else None,
     )
-    return validate_model(spec)
 
 
 def _with_death(spec, grid):

@@ -340,7 +340,8 @@ class ContinuousModelSpec:
     ``survival_alphas`` applies to fixed instants: alphas[j] is the
     probability of surviving to instant j given survival to instant j - 1
     (alphas[0] = survival to the first instant).  The other arrival patterns
-    carry an explicit ``lifetime`` distribution instead.
+    carry an explicit ``lifetime`` distribution instead; neither is optional,
+    and the one the arrivals do not read is refused.
     """
 
     offers: OfferDistribution
@@ -356,7 +357,8 @@ class ContinuousModelSpec:
                 raise ValueError("survival probabilities must lie in [0, 1]")
             a.setflags(write=False)
             object.__setattr__(self, "survival_alphas", a)
-        if isinstance(self.arrivals, FixedInstants):
+        fixed = isinstance(self.arrivals, FixedInstants)
+        if fixed:
             if self.survival_alphas is None:
                 raise ValueError("fixed instants require survival_alphas")
             if len(self.survival_alphas) != len(self.arrivals.times):
@@ -364,6 +366,9 @@ class ContinuousModelSpec:
         elif self.lifetime is None:
             raise ValueError("this arrival pattern requires a lifetime "
                              "distribution")
+        unused = "lifetime" if fixed else "survival_alphas"
+        if getattr(self, unused) is not None:
+            raise ValueError(f"{unused} unused: these arrivals never read it")
         # light monotonicity check of the discount function
         grid = np.linspace(0.0, 100.0, 41)
         vals = np.array([self.discount_fn(t) for t in grid])

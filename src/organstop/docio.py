@@ -28,7 +28,6 @@ from .model import (
     Orientation,
     Policy,
     Variant,
-    validate_model,
 )
 
 if TYPE_CHECKING:  # else only the continuous-section parsers load ctime
@@ -144,31 +143,30 @@ def parse_model_section(section: dict, path: str = "model") -> DiscreteModelSpec
     variant = _enum(Variant, _require(section, "variant", path), f"{path}.variant")
     n_patient = int(_require(section, "n_patient", path, int))
     tshape, wshape = VARIANT_RULES[variant].wait_shapes(n_patient)
-    spec = DiscreteModelSpec(
-        variant=variant,
-        n_patient=n_patient,
-        death_index=int(_require(section, "death_index", path, int)),
-        n_organ=int(_require(section, "n_organ", path, int)),
-        no_offer_index=int(_require(section, "no_offer_index", path, int)),
-        transition=_array(section, "transition", path, len(tshape)),
-        offer_prob=_array(section, "offer_prob", path, 2),
-        wait_reward=_array(section, "wait_reward", path, len(wshape)),
-        transplant_reward=_array(section, "transplant_reward", path, 2),
-        discount=float(_require(section, "discount", path, (int, float))),
-        patient_orientation=_enum(
-            Orientation, section.get("patient_orientation", "larger_is_worse"),
-            f"{path}.patient_orientation"),
-        organ_orientation=_enum(
-            Orientation, section.get("organ_orientation", "larger_is_worse"),
-            f"{path}.organ_orientation"),
-        living_donor_state=_require(section, "living_donor_state", path, int,
-                                    optional=True),
-        success_prob=_array(section, "success_prob", path, 2, optional=True),
-        success_reward=_require(section, "success_reward", path, (int, float),
-                                optional=True),
-    )
     try:
-        return validate_model(spec)
+        return DiscreteModelSpec(
+            variant=variant,
+            n_patient=n_patient,
+            death_index=int(_require(section, "death_index", path, int)),
+            n_organ=int(_require(section, "n_organ", path, int)),
+            no_offer_index=int(_require(section, "no_offer_index", path, int)),
+            transition=_array(section, "transition", path, len(tshape)),
+            offer_prob=_array(section, "offer_prob", path, 2),
+            wait_reward=_array(section, "wait_reward", path, len(wshape)),
+            transplant_reward=_array(section, "transplant_reward", path, 2),
+            discount=float(_require(section, "discount", path, (int, float))),
+            patient_orientation=_enum(
+                Orientation, section.get("patient_orientation", "larger_is_worse"),
+                f"{path}.patient_orientation"),
+            organ_orientation=_enum(
+                Orientation, section.get("organ_orientation", "larger_is_worse"),
+                f"{path}.organ_orientation"),
+            living_donor_state=_require(section, "living_donor_state", path, int,
+                                        optional=True),
+            success_prob=_array(section, "success_prob", path, 2, optional=True),
+            success_reward=_require(section, "success_reward", path, (int, float),
+                                    optional=True),
+        )
     except ModelValidationError as exc:
         raise DocumentError(path, "; ".join(exc.errors)) from None
 

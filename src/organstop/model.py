@@ -3,7 +3,7 @@
 A model is a finite optimal-stopping MDP over (patient state, offer state)
 with one reserved absorbing death index on the patient axis and one reserved
 "no offer" index on the organ axis.  All probability data is plain numpy;
-validation seals the arrays read-only.
+a spec validates itself when built, and validation seals the arrays read-only.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ class DiscreteModelSpec:
     conditional offer distributions given the (next) patient state.
     ``transplant_reward[h, k]`` is the terminal reward of accepting organ k
     in patient state h; the ``living_donor_state`` column doubles as the
-    living-donor reward column.
+    living-donor reward column.  A spec is valid once built: construction,
+    and ``replace``, raise :class:`ModelValidationError` with every message.
     """
 
     variant: Variant
@@ -201,6 +202,9 @@ class DiscreteModelSpec:
     # continuous-analog extras: transplant_reward == success_prob * success_reward
     success_prob: np.ndarray | None = None
     success_reward: float | None = None
+
+    def __post_init__(self):
+        validate_model(self)
 
     def live_patients(self) -> np.ndarray:
         return np.flatnonzero(np.arange(self.n_patient) != self.death_index)
@@ -292,7 +296,8 @@ def non_finite_errors(name: str, values) -> list[str]:
 
 
 def validation_errors(spec: DiscreteModelSpec) -> list[str]:
-    """Check every spec invariant, returning one message per violation."""
+    """Check every spec invariant, returning one message per violation:
+    ``[]`` for a built spec, the ``errors`` of a refused construction."""
     errors: list[str] = []
     H, K = spec.n_patient, spec.n_organ
     death, nooff = spec.death_index, spec.no_offer_index
@@ -387,6 +392,7 @@ def validate_model(spec: DiscreteModelSpec) -> DiscreteModelSpec:
     """Return the spec with arrays sealed read-only, or raise.
 
     Raises :class:`ModelValidationError` listing every violated invariant.
+    Every spec runs it when built; a further call re-checks a built spec.
     """
     errors = validation_errors(spec)
     if errors:
@@ -506,7 +512,7 @@ def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
     perm_h, perm_k = _canonical_permutations(spec)
 
     inv_k = np.argsort(perm_k)
-    new = replace(
+    return replace(
         spec,
         death_index=spec.n_patient - 1,
         no_offer_index=spec.n_organ - 1,
@@ -521,7 +527,6 @@ def canonicalize_orientation(spec: DiscreteModelSpec) -> DiscreteModelSpec:
         success_prob=(None if spec.success_prob is None
                       else spec.success_prob[perm_h[:, None], perm_k[None, :]]),
     )
-    return validate_model(new)
 
 
 def legal_actions(spec: DiscreteModelSpec, cell) -> tuple[Action, ...]:

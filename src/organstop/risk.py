@@ -23,7 +23,6 @@ from .model import (
     ValueFunction,
     Variant,
     non_finite_errors,
-    validate_model,
 )
 from .solver import SolveOptions, _Continuation, _solve
 
@@ -102,7 +101,6 @@ def risk_sensitive_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     an exception: a stalled step, or a wait-value expected utility so near 1
     that one more epoch alive no longer moves it (the iterate freezes).
     """
-    validate_model(spec)
     _check_2d(spec)
     gamma = risk.risk_coefficient
     live = spec.live_patients()
@@ -137,7 +135,6 @@ def lifetime_value_iteration(spec: DiscreteModelSpec, risk: RiskSpec,
     Serves as the gamma -> 0 reference for the risk-sensitive solver; a
     stalled step is flagged as there.
     """
-    validate_model(spec)
     _check_2d(spec)
     j = np.arange(risk.lifetime_pmf.shape[-1])
     problem = _Continuation(spec, {Action.TRANSPLANT: risk.lifetime_pmf @ j})

@@ -21,7 +21,6 @@ from .model import (
     ValueFunction,
     Variant,
     non_finite_errors,
-    validate_model,
 )
 from .solver import (SolveOptions, _backup, _Continuation, _solve,
                      _value_array, solve_value_iteration)
@@ -162,7 +161,6 @@ def robust_value_iteration(spec: DiscreteModelSpec, ambiguity: AmbiguitySpec,
                            opts: SolveOptions = SolveOptions()
                            ) -> tuple[ValueFunction, Policy]:
     """Worst-case value function and greedy policy for the robust chain."""
-    validate_model(spec)
     _check_chain(spec, ambiguity)
     live = spec.live_patients()
     problem = _Continuation(spec, VARIANT_RULES[spec.variant].terminal_rewards(spec))

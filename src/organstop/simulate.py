@@ -16,7 +16,6 @@ from .model import (
     DiscreteModelSpec,
     Policy,
     VARIANT_RULES,
-    validate_model,
     validate_policy,
 )
 
@@ -112,7 +111,9 @@ def simulate_trajectory(spec: DiscreteModelSpec, policy: Policy,
                         rng: np.random.Generator,
                         max_epochs: int = MAX_EPOCHS) -> TrajectoryRecord:
     """Roll out one history and return its realized discounted reward: the
-    batched rollout on one trajectory, which draws from ``rng``."""
+    batched rollout on one trajectory, which draws from ``rng``, of a policy
+    checked legal as by :func:`estimate_policy_value`."""
+    validate_policy(spec, policy)
     # the next len(rows) uniforms, whatever the draw; random(0) takes none
     draws = SimpleNamespace(random=lambda draw, rows: rng.random(len(rows)))
     rewards, truncated, stopped, epochs = _rollout(spec, policy, draws, 1,
@@ -134,7 +135,6 @@ def estimate_policy_value(spec: DiscreteModelSpec, policy: Policy,
     together in blocks whose size changes no number.  ``seed`` is an integer
     in [0, 2**128) and ``2 <= n_trajectories < 2**32``.
     """
-    validate_model(spec)
     validate_policy(spec, policy)
     _check_sample_size(n_trajectories)
     seed = _check_seed(seed)
@@ -359,7 +359,6 @@ def brute_force_optimal(spec: DiscreteModelSpec) -> tuple[np.ndarray, Policy]:
     j is the j-th of ``itertools.product`` over the cells' classes, read
     from j in mixed radix, solved BRUTE_FORCE_CHUNK at a time.
     """
-    validate_model(spec)
     cells, classes, rewards, rows = _cell_dynamics(spec)
     rule = VARIANT_RULES[spec.variant]
     radix = np.array([len(c) for c in classes])

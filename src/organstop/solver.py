@@ -27,7 +27,6 @@ from .model import (
     VARIANT_RULES,
     ValueFunction,
     Variant,
-    validate_model,
 )
 
 
@@ -302,7 +301,6 @@ def solve_value_iteration(spec: DiscreteModelSpec,
     ``max_iterations`` is hit before the residual target, the best iterate
     is returned flagged non-converged.
     """
-    validate_model(spec)
     problem = _Continuation(spec, VARIANT_RULES[spec.variant].terminal_rewards(spec))
     return _solve(problem, problem.nominal_waits, opts, discount=spec.discount)
 
@@ -353,7 +351,7 @@ def build_continuous_analog_spec(
     wait = np.full(nh + 1, float(alive_reward))
     wait[nh] = 0.0
 
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=Variant.CONTINUOUS_ANALOG,
         n_patient=nh + 1, death_index=nh,
         n_organ=nk + 1, no_offer_index=nk,
@@ -364,4 +362,3 @@ def build_continuous_analog_spec(
         discount=discount,
         success_prob=p, success_reward=float(success_reward),
     )
-    return validate_model(spec)

@@ -165,6 +165,7 @@ def test_transition_is_sparse_exactly_when_that_is_fewer_numbers():
                      [0.0, 0.0, 0.8, 0.2], [0.0, 0.0, 0.0, 1.0]])
     spec = dataclasses.replace(spec, transition=half)
     assert docio.model_section(spec)["transition"] == half.tolist()
+    half = half.copy()  # the spec sealed the array it was given
     half[0] = [0.8, 0.0, 0.0, 0.2]
     spec = dataclasses.replace(spec, transition=half)
     assert docio.model_section(spec)["transition"] == {
@@ -1245,12 +1246,17 @@ _GOOD_CONTINUOUS = {
     ("discount", True, "continuous.discount: expected dict, got bool"),
     ("discount", [1], "continuous.discount: expected dict, got list"),
     ("discount", "exponential", "continuous.discount: expected dict, got str"),
+    ("survival_alphas", [1],
+     "continuous: survival_alphas unused: these arrivals never read it"),
+    ("arrivals", {"kind": "fixed", "times": [1.0, 2.0]},
+     "continuous: lifetime unused: these arrivals never read it"),
 ], ids=["poisson-negative", "poisson-inf", "poisson-nan", "lifetime-zero",
         "lifetime-negative", "lifetime-nan", "erlang-fractional-shape",
         "erlang-zero-shape", "erlang-nan-shape", "lifetime-null",
         "interarrival-zero", "interarrival-inf", "gap-nan", "offer-values-nan",
         "offer-probs-nan", "instants-nan", "discount-number", "discount-bool",
-        "discount-list", "discount-string"])
+        "discount-list", "discount-string", "alphas-without-instants",
+        "lifetime-with-instants"])
 def test_cli_continuous_refuses_bad_fields(tmp_path, capsys, key, value,
                                            message):
     doc = {**_GOOD_CONTINUOUS, key: value}

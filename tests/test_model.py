@@ -56,36 +56,44 @@ def tiny_spec(**overrides):
     return DiscreteModelSpec(**base)
 
 
+def refusal(build, *args, **kwargs):
+    """The messages of the ModelValidationError that ``build(*args,
+    **kwargs)`` raises, or [] when it builds a spec."""
+    try:
+        build(*args, **kwargs)
+    except ModelValidationError as exc:
+        return exc.errors
+    return []
+
+
 def test_valid_spec_passes():
     assert validation_errors(tiny_spec()) == []
 
 
 def test_row_sum_violation_is_reported_with_location():
-    bad = tiny_spec(transition=np.array(
+    msgs = refusal(tiny_spec, transition=np.array(
         [[0.6, 0.3, 0.2], [0.1, 0.5, 0.4], [0.0, 0.0, 1.0]]))
-    msgs = validation_errors(bad)
     assert any("transition" in m and "row sum" in m and " 0" in m for m in msgs)
 
 
 def test_death_row_must_absorb():
-    bad = tiny_spec(transition=np.array(
+    msgs = refusal(tiny_spec, transition=np.array(
         [[0.6, 0.2, 0.2], [0.1, 0.5, 0.4], [0.5, 0.0, 0.5]]))
-    msgs = validation_errors(bad)
     assert any("absorbing" in m for m in msgs)
 
 
 def test_discount_one_rejected():
-    msgs = validation_errors(tiny_spec(discount=1.0))
+    msgs = refusal(tiny_spec, discount=1.0)
     assert any("discount" in m for m in msgs)
 
 
 def test_reward_at_death_rejected():
-    bad = tiny_spec(wait_reward=np.array([1.0, 0.5, 0.3]))
-    assert any("death" in m for m in validation_errors(bad))
+    msgs = refusal(tiny_spec, wait_reward=np.array([1.0, 0.5, 0.3]))
+    assert any("death" in m for m in msgs)
 
 
 def test_living_donor_forbidden_for_base():
-    msgs = validation_errors(tiny_spec(living_donor_state=0))
+    msgs = refusal(tiny_spec, living_donor_state=0)
     assert any("living donor" in m.lower() for m in msgs)
 
 
@@ -123,8 +131,8 @@ def test_non_finite_input_is_rejected(field, index, bad):
             if field.startswith("success") else tiny_spec()
         value = np.array(getattr(spec, field), dtype=float)
         value[where] = bad
-        errors = validation_errors(
-            replace(spec, **{field: value if value.ndim else float(value)}))
+        errors = refusal(replace, spec,
+                         **{field: value if value.ndim else float(value)})
     at = "" if index is None else f" at {index}"
     assert f"{field}: non-finite entry {bad}{at}" in errors
 
@@ -134,7 +142,7 @@ def test_non_finite_input_is_rejected(field, index, bad):
                          ids=["prob", "reward", "both"])
 def test_analog_requires_success_fields(missing):
     spec = random_analog_spec(np.random.default_rng(0))
-    errors = validation_errors(replace(spec, **dict.fromkeys(missing)))
+    errors = refusal(replace, spec, **dict.fromkeys(missing))
     assert f"{' and '.join(missing)} required for continuous_analog" in errors
 
 
@@ -162,24 +170,34 @@ def test_optional_fields_follow_the_variant_terminals(variant, present):
         success_errors = [f"success_prob and success_reward required for "
                           f"{name}"] if analog else []
         success = dict(success_prob=None, success_reward=None)
-    assert validation_errors(replace(
-        spec, living_donor_state=0 if present else None)) == donor_errors
-    assert validation_errors(replace(spec, **success)) == success_errors
+    assert refusal(replace, spec, living_donor_state=0 if present else None
+                   ) == donor_errors
+    assert refusal(replace, spec, **success) == success_errors
 
 
 def test_validate_model_raises_and_seals():
+    """A built spec holds sealed float arrays, also when it was given
+    lists, and ``validate_model`` passes it through."""
     with pytest.raises(ModelValidationError):
-        validate_model(tiny_spec(discount=1.5))
-    spec = validate_model(tiny_spec())
+        tiny_spec(discount=1.5)
+    fields = ("transition", "offer_prob", "wait_reward", "transplant_reward")
+    spec = tiny_spec(**{name: getattr(tiny_spec(), name).tolist()
+                        for name in fields})
+    for name in fields:
+        array = getattr(spec, name)
+        assert type(array) is np.ndarray and array.dtype == float
+        assert not array.flags.writeable
     with pytest.raises(ValueError):
         spec.transition[0, 0] = 0.5
+    assert validate_model(spec) is spec
 
 
-def bumped(spec, field, index, value):
-    """``spec`` with ``field[index]`` set to ``value``."""
+def bumped(spec, field, index, value, **others):
+    """``spec`` with ``field[index]`` set to ``value`` and ``others``
+    replaced."""
     array = np.array(getattr(spec, field))
     array[index] = value
-    return replace(spec, **{field: array})
+    return replace(spec, **{field: array}, **others)
 
 
 def donor_spec():
@@ -191,31 +209,33 @@ def analog_spec():
 
 
 @pytest.mark.parametrize("refused, message", [
-    (lambda: validate_model(replace(tiny_spec(),
-                                    offer_prob=np.full((3, 3), 1 / 3))),
+    (lambda: replace(tiny_spec(), offer_prob=np.full((3, 3), 1 / 3)),
      "offer_prob: shape (3, 3), expected (3, 2)"),
-    (lambda: validate_model(bumped(tiny_spec(), "wait_reward", 0, -0.5)),
+    (lambda: bumped(tiny_spec(), "wait_reward", 0, -0.5),
      "wait_reward: negative entry"),
-    (lambda: validate_model(bumped(tiny_spec(), "transplant_reward",
-                                   (1, 0), -2.0)),
+    (lambda: bumped(tiny_spec(), "transplant_reward", (1, 0), -2.0),
      "transplant_reward: negative entry"),
-    (lambda: validate_model(bumped(tiny_spec(), "transplant_reward",
-                                   (2, 0), 3.0)),
+    (lambda: bumped(tiny_spec(), "transplant_reward", (2, 0), 3.0),
      "transplant_reward: nonzero reward at death state (max 3)"),
-    (lambda: validate_model(replace(donor_spec(), living_donor_state=2)),
+    (lambda: replace(donor_spec(), living_donor_state=2),
      "living_donor_state 2 outside [0,2)"),
-    (lambda: validate_model(replace(donor_spec(), living_donor_state=1)),
+    (lambda: replace(donor_spec(), living_donor_state=1),
      "living_donor_state collides with no_offer_index"),
-    (lambda: validate_model(replace(
-        analog_spec(), success_prob=analog_spec().success_prob[:, :2])),
+    (lambda: replace(analog_spec(),
+                     success_prob=analog_spec().success_prob[:, :2]),
      "success_prob: shape (4, 2), expected (4, 3)"),
-    (lambda: validate_model(bumped(analog_spec(), "success_prob", (0, 0), 1.5)),
+    (lambda: bumped(analog_spec(), "success_prob", (0, 0), 1.5),
      "success_prob: entry outside [0,1]"),
-    (lambda: validate_model(replace(analog_spec(), success_reward=-1.0)),
+    (lambda: replace(analog_spec(), success_reward=-1.0),
      "success_reward -1.0 negative"),
-    (lambda: validate_model(bumped(analog_spec(), "transplant_reward",
-                                   (0, 0), 20.0)),
+    (lambda: bumped(analog_spec(), "transplant_reward", (0, 0), 20.0),
      "transplant_reward inconsistent with success_prob * success_reward"),
+    # no operator can be handed a refused spec: a NaN transition entry or a
+    # discount above 1 once built, and the backup returned NaN or values
+    (lambda: bumped(tiny_spec(), "transition", (0, 1), np.nan),
+     "transition: non-finite entry nan at (0, 1)"),
+    (lambda: tiny_spec(discount=1.5), "discount 1.5 outside (0,1)"),
+    (lambda: replace(tiny_spec(), discount=1.5), "discount 1.5 outside (0,1)"),
     (lambda: AmbiguitySpec(np.array([0.1, -0.1, 0.0])),
      "ambiguity level negative"),
     (lambda: robust_value_iteration(tiny_spec(), AmbiguitySpec(np.zeros(3))),
@@ -228,14 +248,14 @@ def analog_spec():
      "rewards, got living_donor"),
     # every shape is checked before any value: the bad transition row of
     # the first field goes unreported next to the shape fault
-    (lambda: validate_model(replace(
-        bumped(tiny_spec(), "transition", (0, 0), 0.9),
-        wait_reward=np.zeros(2))),
+    (lambda: bumped(tiny_spec(), "transition", (0, 0), 0.9,
+                    wait_reward=np.zeros(2)),
      "wait_reward: shape (2,), expected (3,)"),
 ], ids=["offer-shape", "negative-wait", "negative-transplant",
         "transplant-at-death", "donor-state-range", "donor-state-no-offer",
         "success-shape", "success-range", "negative-success-reward",
-        "inconsistent-transplant", "robust-negative-level",
+        "inconsistent-transplant", "nan-transition", "discount-above-one",
+        "replace-into-refused", "robust-negative-level",
         "robust-variant", "robust-levels-length", "risk-variant",
         "shapes-first"])
 def test_refusals_name_their_fault(refused, message):
@@ -245,14 +265,14 @@ def test_refusals_name_their_fault(refused, message):
 
 
 def test_legal_actions_respects_no_offer():
-    spec = validate_model(tiny_spec())
+    spec = tiny_spec()
     assert Action.TRANSPLANT in legal_actions(spec, (0, 0))
     assert Action.TRANSPLANT not in legal_actions(spec, (0, 1))
     assert legal_actions(spec, (2, 0)) == (Action.NONE,)
 
 
 def test_validate_policy_rejects_transplant_without_offer():
-    spec = validate_model(tiny_spec())
+    spec = tiny_spec()
     actions = np.array([[1, 1], [0, 0], [5, 5]])
     with pytest.raises(ModelValidationError):
         validate_policy(spec, Policy(spec.variant, actions))
@@ -305,7 +325,7 @@ def test_monotone_rewards_on_structured_spec():
 
 
 def test_monotone_rewards_violation():
-    spec = validate_model(tiny_spec(wait_reward=np.array([0.5, 1.0, 0.0])))
+    spec = tiny_spec(wait_reward=np.array([0.5, 1.0, 0.0]))
     rep = check_monotone_rewards(spec)
     assert not rep.wait_monotone
     assert rep.wait_violation[0] == "wait_reward"
@@ -361,12 +381,12 @@ def test_array_shapes_come_from_the_variant_table(variant):
     stack = (2,) if variant is Variant.DIALYSIS else ()
     tshape, wshape = stack + (H, H), stack + (H,)
     assert model.VARIANT_RULES[variant].wait_shapes(H) == (tshape, wshape)
-    cut = replace(spec, transition=spec.transition[..., :-1])
-    assert validation_errors(cut) == [
-        f"transition: shape {cut.transition.shape}, expected {tshape}"]
-    cut = replace(spec, wait_reward=spec.wait_reward[..., :-1])
-    assert validation_errors(cut) == [
-        f"wait_reward: shape {cut.wait_reward.shape}, expected {wshape}"]
+    cut = spec.transition[..., :-1]
+    assert refusal(replace, spec, transition=cut) == [
+        f"transition: shape {cut.shape}, expected {tshape}"]
+    cut = spec.wait_reward[..., :-1]
+    assert refusal(replace, spec, wait_reward=cut) == [
+        f"wait_reward: shape {cut.shape}, expected {wshape}"]
     section = docio.model_section(spec)
     for name, dims in (("transition", len(tshape)), ("wait_reward", len(wshape))):
         stacked = {**section, name: [section[name]]}
@@ -409,9 +429,9 @@ def test_row_checks_give_the_row_loop_messages(variant, seed):
             else:
                 matrix[i, j] = [1.5, -0.5, matrix[i, j] + 0.25,
                                 matrix[i, j] + 1e-10][kind]
-    bad = replace(spec, transition=trans, offer_prob=offer)
-    errors = validation_errors(bad)
+    errors = refusal(replace, spec, transition=trans, offer_prob=offer)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_check_stochastic_rows", row_loop_check)
-        assert errors == validation_errors(bad)
+        assert errors == refusal(replace, spec, transition=trans,
+                                 offer_prob=offer)
     assert errors

@@ -18,6 +18,7 @@ from organstop import (
     DiscreteModelSpec,
     FiniteOffers,
     FixedInstants,
+    ModelValidationError,
     NonhomogeneousPoissonArrivals,
     Policy,
     PoissonArrivals,
@@ -375,6 +376,23 @@ def test_sample_index_is_clamped_to_last_possible_state():
         spec, policy, draws, 4, simulate.MAX_EPOCHS)
     assert np.all(rewards == rec.reward)
     assert (truncated, stopped, epochs) == (0, 0, 2)
+
+
+@pytest.mark.parametrize("action, cell", [
+    (Action.MEDICATION, (0, 0)), (Action.TRANSPLANT, (0, 1))],
+    ids=["medication-in-base", "transplant-without-offer"])
+def test_one_trajectory_refuses_an_illegal_policy(action, cell):
+    """simulate_trajectory refuses the policy estimate_policy_value
+    refuses, rather than walking the illegal action as a transplant."""
+    spec = deterministic_chain()
+    actions = np.array(wait_policy(spec).actions)
+    actions[cell] = action
+    policy = Policy(spec.variant, actions)
+    for walk in (lambda: simulate_trajectory(spec, policy, trajectory_rng(7, 0)),
+                 lambda: estimate_policy_value(spec, policy, 10, 7)):
+        with pytest.raises(ModelValidationError) as exc:
+            walk()
+        assert exc.value.errors == [f"illegal action {action.name} at cell {cell}"]
 
 
 def test_sample_size_is_validated():
