@@ -53,7 +53,7 @@ _EXPORTS = {
               "parse_document"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "counterexamples", "svgplot"}
+_SUBMODULES = {*_EXPORTS, "cli", "svgplot"}
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

@@ -184,6 +184,9 @@ class DiscreteModelSpec:
     in patient state h; the ``living_donor_state`` column doubles as the
     living-donor reward column.  A spec is valid once built: construction,
     and ``replace``, raise :class:`ModelValidationError` with every message.
+    A built spec holds its arrays read-only.  A contiguous float64 array is
+    kept without a copy, so the caller's own array is sealed; lists and
+    other dtypes are copied.
     """
 
     variant: Variant

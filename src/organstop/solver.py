@@ -52,10 +52,6 @@ class SolveOptions:
 STALL_WINDOW = 1000
 
 
-def zero_values(spec: DiscreteModelSpec) -> np.ndarray:
-    return np.zeros(VARIANT_RULES[spec.variant].value_shape(spec))
-
-
 def marginal_values(spec: DiscreteModelSpec, values: np.ndarray) -> np.ndarray:
     """Expectation of V(h, k) over the offer distribution: sum_k V(h,k) K(k|h).
 

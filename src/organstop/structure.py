@@ -49,11 +49,6 @@ def _run_tuples(runs: _Runs) -> list[Run]:
                     runs.stop.tolist()))
 
 
-def action_runs(line: np.ndarray) -> list[Run]:
-    """Maximal constant runs of a 1-D action line."""
-    return _run_tuples(_runs(np.asarray(line)[None, :]))
-
-
 @dataclass(frozen=True)
 class LineRuns:
     index: int            # the fixed coordinate (organ k or patient h)

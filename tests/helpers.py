@@ -1,4 +1,5 @@
-"""Shared random-model generators for the test suite.
+"""Shared random-model generators and hand-built policies for the test
+suite.
 
 All generators emit canonical specs (larger index = worse, death row last,
 no-offer column last) so structure checks can be applied directly.
@@ -9,12 +10,17 @@ from dataclasses import replace
 import numpy as np
 
 from organstop import (
+    Action,
     DiscreteModelSpec,
     Orientation,
+    Policy,
     Variant,
     check_ifr,
-    validate_model,
+    validate_policy,
 )
+
+W, T, L = (int(Action.WAIT), int(Action.TRANSPLANT),
+           int(Action.TRANSPLANT_LIVING))
 
 
 def random_transition(rng, n_live, min_death=0.02):
@@ -79,7 +85,7 @@ def random_base_spec(rng, n_live=3, n_offered=2, discount=None,
     kwargs = {}
     if variant is Variant.COMBINED:
         kwargs["living_donor_state"] = n_offered - 1
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=variant,
         n_patient=H, death_index=n_live,
         n_organ=K, no_offer_index=n_offered,
@@ -87,7 +93,6 @@ def random_base_spec(rng, n_live=3, n_offered=2, discount=None,
         offer_prob=offer, wait_reward=wait, transplant_reward=reward,
         discount=discount, **kwargs,
     )
-    return validate_model(spec)
 
 
 def structured_base_spec(rng, n_live=5, n_offered=4, discount=0.9):
@@ -101,7 +106,7 @@ def structured_base_spec(rng, n_live=5, n_offered=4, discount=0.9):
     organ_reward = np.sort(rng.uniform(1.0, 15.0, n_offered))[::-1]
     reward = np.zeros((H, K))
     reward[:-1, :-1] = organ_reward[None, :]
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=Variant.BASE,
         n_patient=H, death_index=n_live,
         n_organ=K, no_offer_index=n_offered,
@@ -109,7 +114,6 @@ def structured_base_spec(rng, n_live=5, n_offered=4, discount=0.9):
         offer_prob=random_offer(rng, n_live, n_offered),
         wait_reward=wait, transplant_reward=reward, discount=discount,
     )
-    return validate_model(spec)
 
 
 def random_living_donor_spec(rng, n_live=4, discount=None):
@@ -120,7 +124,7 @@ def random_living_donor_spec(rng, n_live=4, discount=None):
     reward = np.zeros((H, 2))
     reward[:-1, 0] = np.sort(rng.uniform(1.0, 12.0, n_live))[::-1]
     offer = np.tile([0.5, 0.5], (H, 1))
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=Variant.LIVING_DONOR,
         n_patient=H, death_index=n_live,
         n_organ=2, no_offer_index=1,
@@ -128,7 +132,6 @@ def random_living_donor_spec(rng, n_live=4, discount=None):
         offer_prob=offer, wait_reward=wait, transplant_reward=reward,
         discount=discount, living_donor_state=0,
     )
-    return validate_model(spec)
 
 
 def random_dialysis_spec(rng, n_live=2, n_offered=1, discount=None):
@@ -140,14 +143,13 @@ def random_dialysis_spec(rng, n_live=2, n_offered=1, discount=None):
                      np.append(rng.uniform(0.1, 1.0, n_live), 0.0)])
     reward = np.zeros((H, K))
     reward[:-1, :-1] = rng.uniform(0.0, 15.0, (n_live, n_offered))
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=Variant.DIALYSIS,
         n_patient=H, death_index=n_live,
         n_organ=K, no_offer_index=n_offered,
         transition=trans, offer_prob=random_offer(rng, n_live, n_offered),
         wait_reward=wait, transplant_reward=reward, discount=discount,
     )
-    return validate_model(spec)
 
 
 def random_analog_spec(rng, n_live=3, n_offered=2, discount=None):
@@ -157,7 +159,7 @@ def random_analog_spec(rng, n_live=3, n_offered=2, discount=None):
     success = np.zeros((H, K))
     success[:-1, :-1] = rng.uniform(0.0, 1.0, (n_live, n_offered))
     success_reward = float(rng.uniform(5.0, 15.0))
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=Variant.CONTINUOUS_ANALOG,
         n_patient=H, death_index=n_live,
         n_organ=K, no_offer_index=n_offered,
@@ -167,7 +169,6 @@ def random_analog_spec(rng, n_live=3, n_offered=2, discount=None):
         transplant_reward=success * success_reward, discount=discount,
         success_prob=success, success_reward=success_reward,
     )
-    return validate_model(spec)
 
 
 def random_spec(rng, variant, n_live=2, n_offered=1):
@@ -182,6 +183,53 @@ def random_spec(rng, variant, n_live=2, n_offered=1):
     return random_base_spec(rng, n_live, n_offered, variant=variant)
 
 
+def live_grid_policy(spec, grid):
+    """The legal policy of a canonical 2-D spec with ``grid`` on its live
+    rows and the no-op on its death row."""
+    actions = np.full((spec.n_patient, spec.n_organ), Action.NONE,
+                      dtype=np.int64)
+    actions[:-1] = grid
+    return validate_policy(spec, Policy(spec.variant, actions))
+
+
+def patient_limit_only():
+    """Hand-built policy with patient-axis limits for every organ but none
+    on the organ axis: the middle row accepts a middle band of organs, so
+    its wait action splits into two runs."""
+    spec = random_base_spec(np.random.default_rng(0), 3, 5)
+    return spec, live_grid_policy(spec, [
+        [W, W, W, W, W, W],
+        [W, T, T, W, W, W],
+        [W, T, T, T, W, W],
+    ])
+
+
+def disconnected_regions():
+    """Hand-built policy passing both one-dimensional checks with four
+    regions: the corner living-donor cell is cut off from the others, and
+    the first row breaks the transplant-prefix row structure."""
+    spec = random_base_spec(np.random.default_rng(0), 3, 3,
+                            variant=Variant.COMBINED)
+    return spec, live_grid_policy(spec, [
+        [L, L, W, W],
+        [T, W, W, W],
+        [T, T, L, L],
+    ])
+
+
+def connected_regions():
+    """Hand-built policy of transplant-prefix rows with monotone limits:
+    one region per action."""
+    spec = random_base_spec(np.random.default_rng(0), 4, 3,
+                            variant=Variant.COMBINED)
+    return spec, live_grid_policy(spec, [
+        [T, W, W, W],
+        [T, W, W, W],
+        [T, T, L, L],
+        [T, T, T, L],
+    ])
+
+
 def banded_spec(spec, width=1):
     """The spec with every live row of its transition(s) cut to the band
     |h' - h| <= ``width`` plus the death column and renormalized: a sparse
@@ -190,8 +238,8 @@ def banded_spec(spec, width=1):
     near = np.abs(states[:, None] - states[None, :]) <= width
     near[:, spec.death_index] = True
     trans = spec.transition * near
-    return validate_model(replace(
-        spec, transition=trans / trans.sum(axis=-1, keepdims=True)))
+    return replace(
+        spec, transition=trans / trans.sum(axis=-1, keepdims=True))
 
 
 def reversal_permutations(spec):
@@ -205,7 +253,7 @@ def reversed_spec(spec):
     axes reversed and the orientation flags flipped."""
     perm_h, perm_k = reversal_permutations(spec)
     cells = np.ix_(perm_h, perm_k)
-    return validate_model(replace(
+    return replace(
         spec,
         death_index=0, no_offer_index=0,
         transition=spec.transition[np.ix_(perm_h, perm_h)],
@@ -218,7 +266,7 @@ def reversed_spec(spec):
                             else perm_k.index(spec.living_donor_state)),
         patient_orientation=Orientation.LARGER_IS_BETTER,
         organ_orientation=Orientation.LARGER_IS_BETTER,
-    ))
+    )
 
 
 def risk_base_spec(rng, n_live=3, n_offered=2, min_death=0.1):
@@ -228,7 +276,7 @@ def risk_base_spec(rng, n_live=3, n_offered=2, min_death=0.1):
     wait = np.append(np.ones(n_live), 0.0)
     reward = np.zeros((H, K))
     reward[:-1, :-1] = rng.uniform(1.0, 10.0, (n_live, n_offered))
-    spec = DiscreteModelSpec(
+    return DiscreteModelSpec(
         variant=Variant.BASE,
         n_patient=H, death_index=n_live,
         n_organ=K, no_offer_index=n_offered,
@@ -236,7 +284,6 @@ def risk_base_spec(rng, n_live=3, n_offered=2, min_death=0.1):
         offer_prob=random_offer(rng, n_live, n_offered),
         wait_reward=wait, transplant_reward=reward, discount=0.9,
     )
-    return validate_model(spec)
 
 
 def random_lifetime_pmf(rng, spec, max_j=6):

@@ -58,10 +58,11 @@ from organstop import (
     solve_value_iteration,
     threshold_1d,
 )
-from organstop.counterexamples import disconnected_regions, patient_limit_only
 from organstop.ctime import _offer_value_expectation
 
 from helpers import (
+    disconnected_regions,
+    patient_limit_only,
     random_base_spec,
     random_living_donor_spec,
     risk_base_spec,

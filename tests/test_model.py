@@ -177,7 +177,9 @@ def test_optional_fields_follow_the_variant_terminals(variant, present):
 
 def test_validate_model_raises_and_seals():
     """A built spec holds sealed float arrays, also when it was given
-    lists, and ``validate_model`` passes it through."""
+    lists, and ``validate_model`` passes it through.  A contiguous float64
+    array is kept without a copy, so the caller's own array is sealed;
+    lists and other dtypes are copied."""
     with pytest.raises(ModelValidationError):
         tiny_spec(discount=1.5)
     fields = ("transition", "offer_prob", "wait_reward", "transplant_reward")
@@ -190,6 +192,15 @@ def test_validate_model_raises_and_seals():
     with pytest.raises(ValueError):
         spec.transition[0, 0] = 0.5
     assert validate_model(spec) is spec
+    mine = np.array([[0.6, 0.2, 0.2], [0.1, 0.5, 0.4], [0.0, 0.0, 1.0]])
+    assert tiny_spec(transition=mine).transition is mine
+    assert not mine.flags.writeable
+    ints = np.array([[1, 0], [1, 0], [1, 0]])
+    listed = [[8.0, 0.0], [5.0, 0.0], [0.0, 0.0]]
+    spec = tiny_spec(offer_prob=ints, transplant_reward=listed)
+    assert spec.offer_prob is not ints and ints.flags.writeable
+    assert spec.transplant_reward is not listed
+    assert listed == [[8.0, 0.0], [5.0, 0.0], [0.0, 0.0]]
 
 
 def bumped(spec, field, index, value, **others):

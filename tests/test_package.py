@@ -51,7 +51,7 @@ EXPORTS = {
     "docio": ["DocumentError", "ModelDocument", "load_document",
               "parse_document"],
 }
-SUBMODULES = sorted([*EXPORTS, "cli", "counterexamples", "svgplot"])
+SUBMODULES = sorted([*EXPORTS, "cli", "svgplot"])
 NAMES = [(module, name) for module, names in EXPORTS.items()
          for name in names]
 
@@ -79,6 +79,8 @@ def test_unknown_name_raises_attribute_error():
         organstop.no_such_name
     with pytest.raises(ImportError):
         exec("from organstop import no_such_name", {})
+    with pytest.raises(ImportError):
+        exec("import organstop.counterexamples", {})
 
 
 def test_submodules_resolve_after_a_bare_import():

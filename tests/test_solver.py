@@ -28,7 +28,7 @@ from organstop import (
 from organstop.model import VARIANT_RULES
 from organstop.simulate import brute_force_optimal
 from organstop.solver import (STALL_WINDOW, _Continuation, _grid, _solve,
-                              marginal_values, zero_values)
+                              marginal_values)
 
 import reference_solver
 from helpers import (
@@ -86,7 +86,7 @@ def test_backup_is_a_contraction(variant):
     rng = np.random.default_rng(1)
     for _ in range(20):
         spec = random_spec(rng, variant, n_live=3, n_offered=2)
-        shape = zero_values(spec).shape
+        shape = VARIANT_RULES[spec.variant].value_shape(spec)
         U = rng.uniform(0, 10, shape)
         V = rng.uniform(0, 10, shape)
         for arr in (U, V):  # zero at death along the patient axis

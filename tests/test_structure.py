@@ -8,14 +8,19 @@ from hypothesis import given, strategies as st
 
 from organstop import (
     Action,
+    DiscreteModelSpec,
     ModelValidationError,
     Policy,
     Variant,
     analyze_policy,
+    brute_force_optimal,
     check_am2ro,
     check_am3r,
+    check_ifr,
+    check_monotone_rewards,
     extract_organ_control_limits,
     extract_patient_control_limits,
+    marginal_values,
     policy_from_organ_limits,
     reconstruct_policy,
     region_connectivity,
@@ -23,26 +28,15 @@ from organstop import (
     threshold_1d,
     validate_model,
 )
-from organstop.counterexamples import (
-    connected_regions,
-    disconnected_regions,
-    patient_limit_only,
-)
-from organstop.structure import action_runs
 
-from helpers import (random_base_spec, random_living_donor_spec,
-                     reversal_permutations, reversed_spec,
-                     structured_base_spec)
+from helpers import (connected_regions, disconnected_regions,
+                     live_grid_policy, patient_limit_only, random_base_spec,
+                     random_living_donor_spec, reversal_permutations,
+                     reversed_spec, structured_base_spec)
 from reference_structure import reference_analysis
 
 W, T, L, N = (int(Action.WAIT), int(Action.TRANSPLANT),
               int(Action.TRANSPLANT_LIVING), int(Action.NONE))
-
-
-def test_action_runs_basic():
-    assert action_runs(np.array([W, W, T, T, W])) == \
-        [(W, 0, 2), (T, 2, 4), (W, 4, 5)]
-    assert action_runs(np.array([T])) == [(T, 0, 1)]
 
 
 def test_all_wait_policy_is_single_region():
@@ -127,6 +121,40 @@ def test_connected_fixture():
     assert not rep.am3r.disconnected
 
 
+def test_optimal_policy_without_the_organ_only_premise():
+    """An IFR kernel and rewards nonincreasing on both axes do not make the
+    optimal policy a patient-axis control limit: here the transplant reward
+    falls with sickness, and organ 0 is accepted, declined and accepted
+    down the patient axis, by the solver and by brute force alike."""
+    spec = DiscreteModelSpec(
+        variant=Variant.BASE, n_patient=4, death_index=3,
+        n_organ=2, no_offer_index=1,
+        transition=[[.24, .18, .54, .04], [.18, .18, .44, .20],
+                    [.15, .16, .39, .30], [0, 0, 0, 1]],
+        offer_prob=np.tile([0.3, 0.7], (4, 1)),
+        wait_reward=[0.6, 0.5, 0.3, 0],
+        transplant_reward=[[2.4, 0], [1.5, 0], [1.5, 0], [0, 0]],
+        discount=0.9)
+    assert check_ifr(spec.transition).holds
+    assert check_monotone_rewards(spec).monotone
+    vf, pol = solve_value_iteration(spec)
+    assert (np.diff(vf.values, axis=0) <= 1e-9).all()
+    assert (np.diff(vf.values, axis=1) <= 1e-9).all()
+    np.testing.assert_array_equal(pol.actions[:-1, 0], [T, W, T])
+    np.testing.assert_array_equal(brute_force_optimal(spec)[1].actions,
+                                  pol.actions)
+    # every transplant-or-wait gap is far outside the solve's error bound
+    wait = spec.wait_reward + spec.discount * spec.transition @ \
+        marginal_values(spec, vf.values)
+    gaps = spec.transplant_reward[:-1, 0] - wait[:-1]
+    np.testing.assert_allclose(gaps, [0.4175, -0.1463, 0.2014], atol=1e-4)
+    assert vf.error_bound < 1e-7
+    rep = analyze_policy(spec, pol)
+    assert not rep.patient_based.is_control_limit
+    assert rep.patient_based.witness == (0, T, (0, 1), (2, 3))
+    assert rep.organ_based.is_control_limit
+
+
 def test_region_connectivity_counts_by_flood_fill():
     # checkerboard: both diagonal cells of each action are separated
     spec = random_base_spec(np.random.default_rng(4), n_live=2, n_offered=2)
@@ -146,15 +174,12 @@ def test_am2ro_requires_combined():
 
 def test_am3r_witness_column():
     spec, _ = connected_regions()
-    grid = np.array([
+    rep = check_am3r(spec, live_grid_policy(spec, [
         [T, W, W, W],
         [T, T, W, W],
         [W, T, L, L],   # wait reappears below the transplant block
         [T, T, T, L],
-    ])
-    actions = np.full((spec.n_patient, spec.n_organ), N)
-    actions[:-1] = grid
-    rep = check_am3r(spec, Policy(spec.variant, actions))
+    ]))
     assert not rep.holds
     assert rep.witness_column == 0
 

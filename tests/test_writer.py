@@ -12,12 +12,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from organstop import docio, simulate, solve_value_iteration
-from organstop.structure import Region, action_runs
+from organstop.structure import Region
 from organstop.svgplot import (ACTION_COLORS, ACTION_LABELS, CELL, MARGIN,
                                render_region_svg)
 
 import reference_writers as ref
 from helpers import random_analog_spec, random_base_spec
+from reference_structure import action_runs
 
 # values the writer must not merge, reorder or reformat
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
